@@ -11,7 +11,7 @@
 //! ion-cli compare <base> <optimized>          diff two diagnoses (resolved/introduced)
 //! ion-cli qa <log.darshan> "<question>" ...   diagnose then answer questions
 //! ion-cli iql <log.darshan> <file.iql>        run an IQL program on a trace
-//!         [--explain]                         print the optimized plan instead
+//!         [--explain]                         print the plan with live columns instead
 //! ion-cli fuzz [--iters N] [--seed S]         hostile-input fuzz campaign
 //!         [--minimize] [--save-crashes <dir>] (crashes exit nonzero, bytes pinned)
 //!         [--replay <corpus-dir>]             replay pinned regression seeds

@@ -2,6 +2,8 @@
 //! one issue's analysis unwound through `thread::scope` and aborted the
 //! whole `Analyzer::analyze` call. Now the panic is caught per task and
 //! rendered as a failed diagnosis; every other issue still gets analyzed.
+//! An IQL program that would repeat a column name likewise fails as a
+//! typed error (exit 1), never a panic (exit 101).
 //!
 //! Fault injection uses the `ION_PANIC_ISSUE` env var (honored by
 //! `Analyzer::run_one`), which is process-wide — this file stays the only
@@ -81,6 +83,39 @@ fn cli_analyze_survives_a_panicking_issue() {
     );
     assert!(stdout.contains("ANALYSIS FAILED"), "{stdout}");
     assert!(stdout.contains("GLOBAL DIAGNOSIS SUMMARY"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_iql_rejects_duplicate_column_names_with_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("ion-iql-dup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.darshan");
+    std::fs::write(&trace, misaligned_trace_bytes()).unwrap();
+    for (i, stmt) in [
+        "DERIVE rank = 1",
+        "SELECT rank, rank",
+        "GROUP rank AGG rank = count()",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let program = dir.join(format!("dup{i}.iql"));
+        std::fs::write(&program, format!("LOAD DXT\n{stmt}\n")).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ion_cli"))
+            .arg("iql")
+            .arg(&trace)
+            .arg(&program)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stmt}: {stderr}");
+        assert!(
+            stderr.contains("duplicate column name rank"),
+            "{stmt}: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -109,7 +109,8 @@ pub struct ToolOutput {
     pub output: String,
     /// Whether the tool failed.
     pub is_error: bool,
-    /// Rendered execution plan for code-interpreter calls (EXPLAIN view).
+    /// Rendered execution plan of an `EXPLAIN` program; `None` for every
+    /// other call.
     ///
     /// Kept out of [`ToolOutput::output`] on purpose: the thread content
     /// is what the model parses for `name = value` result lines, and plan
@@ -157,8 +158,8 @@ pub struct Completion {
 
 impl Completion {
     /// Render the full run as a human-readable transcript: each tool call
-    /// with its program, optimized execution plan, and output, then the
-    /// final assistant message.
+    /// with its program, its `EXPLAIN` plan if it asked for one, and its
+    /// output, then the final assistant message.
     #[must_use]
     pub fn render_transcript(&self) -> String {
         use std::fmt::Write as _;
@@ -382,29 +383,21 @@ fn approx_tokens(text: &str) -> u64 {
 /// Execute one IQL program against the tables, rendering emitted scalars
 /// as `name = value` lines (what the model "sees" from the interpreter).
 ///
-/// Returns the thread-visible text plus the rendered execution plan. An
-/// `EXPLAIN`-prefixed program is planned but not executed: the thread
+/// An `EXPLAIN`-prefixed program is planned but not executed: the thread
 /// sees the one-line plan summary (safe against result-line parsing) and
-/// the full rendering rides the [`ToolOutput::plan`] side-channel.
+/// the full rendering rides the [`ToolOutput::plan`] side-channel. Any
+/// other program runs as written and carries no plan: its plan is the
+/// program itself.
 fn execute_code(src: &str, tables: &TableSet) -> Result<(String, Option<String>), IqlError> {
     let program = parse_program(src)?;
     let interp = Interpreter::new(tables);
     if program.explain {
         let plan = interp.plan(&program);
-        ion_obs::event!(
-            "iql.plan",
-            summary = plan.summary().as_str(),
-            explain = true,
-        );
-        return Ok((format!("{}\n", plan.summary()), Some(plan.render(tables))));
+        let summary = plan.summary();
+        ion_obs::event!("iql.plan", summary = summary.as_str(), explain = true);
+        return Ok((format!("{summary}\n"), Some(plan.render(tables))));
     }
-    let (result, plan) = interp.run_with_plan(&program);
-    ion_obs::event!(
-        "iql.plan",
-        summary = plan.summary().as_str(),
-        explain = false,
-    );
-    let out = result?;
+    let out = interp.run(&program)?;
     let mut text = String::new();
     for (name, value) in &out.emitted {
         text.push_str(name);
@@ -421,7 +414,7 @@ fn execute_code(src: &str, tables: &TableSet) -> Result<(String, Option<String>)
     if text.is_empty() {
         text.push_str("(no output)\n");
     }
-    Ok((text, Some(plan.render(tables))))
+    Ok((text, None))
 }
 
 fn render_table_preview(t: &extractor::Table, max_rows: usize) -> String {
@@ -585,7 +578,7 @@ mod tests {
         let (out, plan) = execute_code("LOAD DXT\nSORT length DESC\n", &tables()).unwrap();
         assert!(out.starts_with("rank,length"));
         assert!(out.contains("1,300"));
-        assert!(plan.unwrap().contains("scan DXT"));
+        assert_eq!(plan, None, "only EXPLAIN programs carry a plan");
     }
 
     #[test]
@@ -597,27 +590,37 @@ mod tests {
         .unwrap();
         let plan = plan.unwrap();
         // Thread text is the compact summary; the full rendering (with
-        // schemas and optimizer stats) stays on the side-channel.
-        assert!(out.contains("scan DXT"), "summary line: {out}");
-        assert!(!out.contains("cols=["), "summary must stay compact: {out}");
+        // per-op schemas) stays on the side-channel.
+        assert_eq!(out, "scan DXT → sort → filter\n");
         assert!(plan.contains("cols=["), "full plan: {plan}");
-        assert!(plan.contains("optimizer:"), "full plan: {plan}");
+        assert!(!plan.contains("optimizer:"), "full plan: {plan}");
     }
 
     #[test]
-    fn transcript_includes_plan_but_thread_does_not() {
-        let model = ScriptedModel {
-            program: "LOAD DXT\nAGG total = sum(length)\nEMIT total\n".into(),
-        };
+    fn transcript_prints_the_plan_only_for_explain_calls() {
         let tables = tables();
-        let completion = Runtime::new(&model, &tables).run(Thread::new()).unwrap();
-        let transcript = completion.render_transcript();
-        assert!(transcript.contains("tool call 1"));
-        assert!(transcript.contains("plan:"));
-        assert!(transcript.contains("scan DXT"));
-        assert!(transcript.contains("total = 400"));
-        // The plan never leaks into the model-visible tool message.
-        assert!(!completion.tool_outputs[0].output.contains("plan:"));
+        for (program, explain) in [
+            ("LOAD DXT\nAGG total = sum(length)\nEMIT total\n", false),
+            (
+                "EXPLAIN\nLOAD DXT\nAGG total = sum(length)\nEMIT total\n",
+                true,
+            ),
+        ] {
+            let model = ScriptedModel {
+                program: program.into(),
+            };
+            let completion = Runtime::new(&model, &tables).run(Thread::new()).unwrap();
+            let transcript = completion.render_transcript();
+            assert!(transcript.contains("tool call 1"));
+            assert!(transcript.contains("  | LOAD DXT"));
+            assert_eq!(completion.tool_outputs[0].plan.is_some(), explain);
+            assert_eq!(transcript.contains("plan:"), explain, "{transcript}");
+            // The plan never leaks into the model-visible tool message.
+            assert!(!completion.tool_outputs[0].output.contains("plan:"));
+            if !explain {
+                assert!(transcript.contains("total = 400"));
+            }
+        }
     }
 
     #[test]

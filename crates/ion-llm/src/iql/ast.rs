@@ -164,7 +164,7 @@ pub enum Stmt {
 pub struct Program {
     /// Statements in execution order.
     pub statements: Vec<Stmt>,
-    /// `EXPLAIN` prefix present: render the optimized plan instead of
+    /// `EXPLAIN` prefix present: render the plan instead of
     /// (or alongside) executing the program.
     pub explain: bool,
 }

@@ -1,16 +1,10 @@
-//! IQL evaluation facade: lowers a program to a logical plan, optimizes
-//! it, and runs the vectorized columnar executor.
-//!
-//! The pipeline is `lower → optimize → execute` (see [`super::plan`] and
-//! `super::exec`). When the optimizer reordered row-visit order (a filter
-//! pushed below a sort) and execution errors, the unoptimized 1:1 plan is
-//! re-executed so the reported error is bit-for-bit the legacy one — the
-//! transforms preserve *whether* a program errors, but a reordered scan
-//! can surface a different failing row first.
+//! IQL evaluation facade: lowers a program to its logical plan and runs
+//! the vectorized columnar executor over it (see [`super::plan`] and
+//! `super::exec`).
 
 use super::ast::Program;
 use super::exec;
-use super::plan::{lower, optimize, Plan};
+use super::plan::{lower, Plan};
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
 use std::collections::BTreeMap;
@@ -67,56 +61,32 @@ impl<'a> Interpreter<'a> {
     /// Returns an [`IqlError`] for unknown tables/columns/variables, bad
     /// function calls, or statements used before `LOAD`.
     pub fn run(&self, program: &Program) -> Result<RunOutput, IqlError> {
-        self.run_with_plan(program).0
-    }
-
-    /// Execute a program and also return the optimized plan it ran (for
-    /// transcript/EXPLAIN surfaces that want both without re-planning).
-    pub fn run_with_plan(&self, program: &Program) -> (Result<RunOutput, IqlError>, Plan) {
         let plan = self.plan(program);
         if !ion_obs::enabled() {
-            return (self.execute(&plan, program), plan);
+            return exec::execute(&plan, self.tables);
         }
         let start = std::time::Instant::now();
-        let result = self.execute(&plan, program);
+        let result = exec::execute(&plan, self.tables);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         ion_obs::observe("iql.query_ns", ns);
         ion_obs::counter("iql.queries_evaluated", 1);
         if let Ok(out) = &result {
             ion_obs::counter("iql.rows_scanned", out.rows_scanned as u64);
         }
-        (result, plan)
+        result
     }
 
-    fn execute(&self, plan: &Plan, program: &Program) -> Result<RunOutput, IqlError> {
-        match exec::execute(plan, self.tables) {
-            Err(_) if plan.reordered => {
-                // Re-run without optimizations: same outcome kind, but the
-                // original row-visit order decides which error surfaces.
-                exec::execute(&lower(program), self.tables)
-            }
-            result => result,
-        }
-    }
-
-    /// Lower and optimize a program into its execution [`Plan`].
+    /// Lower a program into its execution [`Plan`].
     #[must_use]
     pub fn plan(&self, program: &Program) -> Plan {
-        let plan = optimize(lower(program), self.tables);
+        let plan = lower(program);
         if ion_obs::enabled() {
             ion_obs::counter("iql.plan.ops", plan.ops.len() as u64);
-            ion_obs::counter("iql.plan.folded", plan.stats.folded as u64);
-            ion_obs::counter("iql.plan.filters_pushed", plan.stats.filters_pushed as u64);
-            ion_obs::counter(
-                "iql.plan.projections_pushed",
-                plan.stats.projections_pushed as u64,
-            );
-            ion_obs::counter("iql.plan.cols_pruned", plan.stats.cols_pruned as u64);
         }
         plan
     }
 
-    /// Render the optimized plan for a program (`EXPLAIN` output).
+    /// Render the plan for a program (`EXPLAIN` output).
     #[must_use]
     pub fn explain(&self, program: &Program) -> String {
         self.plan(program).render(self.tables)
@@ -353,25 +323,9 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_the_optimized_plan() {
-        let tables = dxt_tables();
-        let program =
-            parse_program("LOAD DXT\nSORT length DESC\nFILTER rank == 0\nLIMIT 2\n").unwrap();
-        let text = Interpreter::new(&tables).explain(&program);
-        assert!(text.contains("scan DXT"), "plan text:\n{text}");
-        let filter_at = text.find("filter").unwrap();
-        let sort_at = text.find("sort").unwrap();
-        assert!(
-            filter_at < sort_at,
-            "filter should be pushed below sort:\n{text}"
-        );
-    }
-
-    #[test]
-    fn reordered_plan_falls_back_to_legacy_error() {
-        // Column `x` is Mixed; after SORT y the first failing row differs
-        // from pre-sort order, so the reordered (filter-first) plan must
-        // re-run unoptimized to report the legacy error.
+    fn filter_after_sort_reports_the_first_failing_row_in_sorted_order() {
+        // Both rows fail `x + 1`; the filter runs after the sort, so the
+        // error names the row that sorts first.
         let mut t = Table::new("T", &["y", "x"]);
         t.push_row(vec![Value::Int(2), Value::Str("bbb".into())]);
         t.push_row(vec![Value::Int(1), Value::Str("aaa".into())]);
@@ -391,9 +345,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_filter_pushdown_keeps_results_identical() {
-        // SELECT prunes `op`/`offset`; FILTER on `rank` pushes below both
-        // the sort and the projection. Results must match the naive order.
+    fn filter_after_sort_and_select_keeps_matching_rows() {
+        // SELECT drops `op`/`offset`; FILTER on a kept column after the
+        // sort and the projection.
         let out = run(
             "LOAD DXT\nSORT length DESC\nSELECT rank, length\nFILTER rank == 0\nAGG n = count(), total = sum(length)\nEMIT n, total\n",
         );

@@ -28,7 +28,7 @@ use super::eval::RunOutput;
 use super::plan::{Plan, PlanOp};
 use super::value_ops::{
     arith_f64, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, is_agg_call, num,
-    numeric_agg, percentile, scalar_call, Env,
+    numeric_agg, percentile, scalar_call, unique_columns, Env,
 };
 use super::IqlError;
 use extractor::{ColumnData, Table, TableSet, Value};
@@ -181,7 +181,7 @@ struct Effort {
     pruned: u64,
 }
 
-/// Execute an (optimized or 1:1) plan against the attached tables.
+/// Execute a plan against the attached tables.
 pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlError> {
     let mut rel: Option<Relation> = None;
     let mut env = Env::default();
@@ -248,11 +248,11 @@ fn apply(
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
             effort.scanned += r.len as u64;
-            // Same invariant (and panic) as the legacy Table::new call.
-            assert!(
-                !r.names.iter().any(|c| c == name),
-                "duplicate column name {name}"
-            );
+            if r.names.contains(name) {
+                return Err(IqlError::DuplicateColumn {
+                    column: name.clone(),
+                });
+            }
             let data = match fast_derive(expr, r, env) {
                 Some(data) => data,
                 None => {
@@ -275,11 +275,7 @@ fn apply(
                         .ok_or_else(|| IqlError::NoSuchColumn { column: n.clone() })
                 })
                 .collect::<Result<_, _>>()?;
-            // Same invariant (and panic) as the legacy Table::new call.
-            let mut seen = std::collections::HashSet::new();
-            for c in columns {
-                assert!(seen.insert(c.as_str()), "duplicate column name {c}");
-            }
+            unique_columns(columns)?;
             r.cols = idxs.iter().map(|&i| r.cols[i].clone()).collect();
             r.names = columns.clone();
         }
@@ -400,15 +396,7 @@ fn apply(
                         .ok_or_else(|| IqlError::NoSuchColumn { column: k.clone() })
                 })
                 .collect::<Result<_, _>>()?;
-            // Same invariant (and panic) as the legacy Table::new call.
-            let mut seen = std::collections::HashSet::new();
-            for c in keys
-                .iter()
-                .map(String::as_str)
-                .chain(aggs.iter().map(|a| a.name.as_str()))
-            {
-                assert!(seen.insert(c), "duplicate column name {c}");
-            }
+            unique_columns(keys.iter().chain(aggs.iter().map(|a| &a.name)))?;
             // Group ordinals by rendered key tuple; BTreeMap keeps output
             // order deterministic (and legacy-identical).
             let mut groups: BTreeMap<Vec<String>, Vec<u32>> = BTreeMap::new();

@@ -10,7 +10,7 @@ use super::ast::{Expr, Program, Stmt, UnaryOp};
 use super::eval::RunOutput;
 use super::value_ops::{
     binary, compare_values, eval_scalar_expr, eval_scalar_or_number, is_agg_call, num, numeric_agg,
-    percentile, scalar_call, Env,
+    percentile, scalar_call, unique_columns, Env,
 };
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
@@ -33,17 +33,13 @@ impl RowTable {
         }
     }
 
-    fn new(name: &str, cols: Vec<String>) -> Self {
-        // Same duplicate-header invariant (and panic) as `Table::new`.
-        let mut seen = std::collections::HashSet::new();
-        for c in &cols {
-            assert!(seen.insert(c.as_str()), "duplicate column name {c}");
-        }
-        RowTable {
+    fn new(name: &str, cols: Vec<String>) -> Result<Self, IqlError> {
+        unique_columns(&cols)?;
+        Ok(RowTable {
             name: name.to_owned(),
             cols,
             rows: Vec::new(),
-        }
+        })
     }
 
     fn column_index(&self, name: &str) -> Option<usize> {
@@ -97,7 +93,7 @@ impl<'a> LegacyInterpreter<'a> {
                 Stmt::Filter(expr) => {
                     let t = table.as_ref().ok_or(IqlError::NoTableLoaded)?;
                     out.rows_scanned += t.rows.len();
-                    let mut nt = RowTable::new(&t.name, t.cols.clone());
+                    let mut nt = RowTable::new(&t.name, t.cols.clone())?;
                     for row in &t.rows {
                         if eval_row_expr(expr, &t.cols, row, &env)?.truthy() {
                             nt.rows.push(row.clone());
@@ -110,7 +106,7 @@ impl<'a> LegacyInterpreter<'a> {
                     out.rows_scanned += t.rows.len();
                     let mut cols = t.cols.clone();
                     cols.push(name.clone());
-                    let mut nt = RowTable::new(&t.name, cols);
+                    let mut nt = RowTable::new(&t.name, cols)?;
                     for row in &t.rows {
                         let v = eval_row_expr(expr, &t.cols, row, &env)?;
                         let mut nr = row.clone();
@@ -128,7 +124,7 @@ impl<'a> LegacyInterpreter<'a> {
                                 .ok_or_else(|| IqlError::NoSuchColumn { column: n.clone() })
                         })
                         .collect::<Result<_, _>>()?;
-                    let mut nt = RowTable::new(&t.name, names.clone());
+                    let mut nt = RowTable::new(&t.name, names.clone())?;
                     for row in &t.rows {
                         nt.rows.push(idxs.iter().map(|&i| row[i].clone()).collect());
                     }
@@ -182,7 +178,7 @@ impl<'a> LegacyInterpreter<'a> {
                     for &i in &kept_right {
                         cols.push(right.cols[i].clone());
                     }
-                    let mut nt = RowTable::new(&left.name, cols);
+                    let mut nt = RowTable::new(&left.name, cols)?;
                     // Hash join on the stringified key.
                     let mut index: BTreeMap<String, Vec<&Vec<Value>>> = BTreeMap::new();
                     for row in &right.rows {
@@ -223,7 +219,7 @@ impl<'a> LegacyInterpreter<'a> {
                     for a in aggs {
                         cols.push(a.name.clone());
                     }
-                    let mut nt = RowTable::new(&t.name, cols);
+                    let mut nt = RowTable::new(&t.name, cols)?;
                     for rows in groups.values() {
                         let mut new_row: Vec<Value> =
                             key_idxs.iter().map(|&i| rows[0][i].clone()).collect();

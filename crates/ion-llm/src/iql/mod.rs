@@ -28,13 +28,14 @@
 //! `max`, `sqrt`, `if(cond, a, b)`.
 //!
 //! A program may start with `EXPLAIN`, which asks the engine to render
-//! the optimized execution plan instead of running the pipeline.
+//! its execution plan — one operator per statement, with the columns live
+//! after each — instead of running the pipeline.
 //!
-//! Execution is planned and vectorized: programs lower to a logical
-//! [`Plan`] (`plan` module), the optimizer applies predicate pushdown,
-//! projection pruning and constant folding, and a columnar executor runs
-//! the result. The original tree-walking interpreter survives behind the
-//! `legacy-eval` feature purely as the oracle for differential tests.
+//! Execution is planned and vectorized: a program lowers 1:1 to a logical
+//! [`Plan`] (`plan` module) and a columnar executor runs its statements
+//! in the order they were written. The original tree-walking interpreter
+//! survives behind the `legacy-eval` feature purely as the oracle for
+//! differential tests.
 
 mod ast;
 mod eval;
@@ -50,7 +51,7 @@ pub use ast::{AggCall, BinaryOp, Expr, Program, Stmt, UnaryOp};
 pub use eval::{Interpreter, RunOutput};
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_expression, parse_program};
-pub use plan::{lower, optimize, Plan, PlanOp, PlanStats};
+pub use plan::{lower, Plan, PlanOp};
 pub use value_ops::eval_with_scalars;
 
 use std::fmt;
@@ -107,6 +108,11 @@ pub enum IqlError {
         /// Explanation.
         message: String,
     },
+    /// A statement would give the working table two columns of one name.
+    DuplicateColumn {
+        /// The repeated column name.
+        column: String,
+    },
 }
 
 impl fmt::Display for IqlError {
@@ -125,6 +131,9 @@ impl fmt::Display for IqlError {
             IqlError::BadCall { name, message } => write!(f, "bad call to {name}: {message}"),
             IqlError::NoTableLoaded => write!(f, "no table loaded; start the program with LOAD"),
             IqlError::Type { message } => write!(f, "type error: {message}"),
+            IqlError::DuplicateColumn { column } => {
+                write!(f, "duplicate column name {column}")
+            }
         }
     }
 }

@@ -13,6 +13,17 @@ use super::IqlError;
 use extractor::Value;
 use std::collections::BTreeMap;
 
+/// Reject a working-table header that repeats a column name.
+pub(crate) fn unique_columns<'a>(
+    names: impl IntoIterator<Item = &'a String>,
+) -> Result<(), IqlError> {
+    let mut seen = std::collections::HashSet::new();
+    match names.into_iter().find(|c| !seen.insert(*c)) {
+        Some(c) => Err(IqlError::DuplicateColumn { column: c.clone() }),
+        None => Ok(()),
+    }
+}
+
 /// Functions that aggregate rows when called (with aggregate arity)
 /// inside an `AGG`/`GROUP … AGG` expression.
 pub(crate) const AGG_FNS: [&str; 8] = [

@@ -11,7 +11,7 @@
 
 use extractor::{ChunkedTableBuilder, ColumnData, Table, TableSet, Value};
 use ion_llm::iql::legacy::LegacyInterpreter;
-use ion_llm::iql::{parse_program, Interpreter};
+use ion_llm::iql::{lower, parse_program, Interpreter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -341,6 +341,12 @@ fn assert_same_run_on(src: &str, fast_tables: &TableSet, slow_tables: &TableSet,
         Ok(p) => p,
         Err(_) => return, // both engines share the parser; nothing to compare
     };
+    // The executed plan is the program as written: one op per statement.
+    assert_eq!(
+        Interpreter::new(fast_tables).plan(&program),
+        lower(&program),
+        "{ctx}: plan is not the 1:1 lowering\nprogram:\n{src}"
+    );
     let fast = Interpreter::new(fast_tables).run(&program);
     let slow = LegacyInterpreter::new(slow_tables).run(&program);
     match (fast, slow) {
@@ -574,7 +580,8 @@ fn edge_case_corpus_matches_legacy_engine() {
         "LOAD T0\nJOIN T1 ON k\nSORT a DESC\nLIMIT 2",
         // Stable sort with equal keys, then projection pruning.
         "LOAD T0\nSORT k\nSELECT k, s",
-        // Filter pushed past sort must not change which error surfaces.
+        // A filter after a sort reports the first failing row in sorted
+        // order.
         "LOAD T0\nSORT x DESC\nFILTER s + 1 > 0",
         // GROUP over two keys with every aggregate kind.
         "LOAD T0\nGROUP k, s AGG c = count(), t = sum(x), u = distinct(a)",
@@ -588,6 +595,10 @@ fn edge_case_corpus_matches_legacy_engine() {
         "LOAD T0\nAGG c = nope(a)",
         "LOAD T0\nDERIVE d0 = sqrt(a, x)",
         "LOAD T0\nEMIT zz",
+        // Duplicate column names from DERIVE, SELECT and GROUP.
+        "LOAD T0\nDERIVE k = 1",
+        "LOAD T0\nSELECT k, k",
+        "LOAD T0\nGROUP k AGG k = count()",
         // String comparison both content-wise and coerced.
         "LOAD T0\nFILTER s == \"write\" || s != m\nAGG c = count()\nEMIT c",
         // Every comparison operator through the vectorized mask kernels:
