@@ -1,5 +1,5 @@
-//! Experiment: incremental-rebuild latency — fine-grained red-green
-//! revalidation vs the coarse revision-keyed baseline.
+//! Experiment: incremental-rebuild latency of fine-grained red-green
+//! revalidation.
 //!
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_incr
@@ -11,18 +11,13 @@
 //! The operator's steady-state loop: a warm store over a fleet of traces
 //! (default 1000), then one *cosmetic* edit to the context library —
 //! every line re-indented, not one knowledge statement changed — and a
-//! full re-analysis of the fleet. The coarse baseline keys each
-//! diagnosis by the whole-context revision, so the edit invalidates
-//! every cached issue and re-runs every model. The fine path walks each
-//! memo's consulted-statement dependencies, proves the edit inert, and
+//! full re-analysis of the fleet. The store walks each memo's
+//! consulted-statement dependencies, proves the edit inert, and
 //! backdates: zero model runs, zero table decodes.
 //!
-//! Both keyings are warmed against the same store before the edit, so
-//! the timed rebuilds compare pure revalidation strategies — not cold
-//! extraction. Acceptance gates: the fine rebuild performs **zero**
-//! model runs (counter-proven) and is ≥5x faster than the coarse
-//! rebuild (≥3x under `--quick`, where fixed per-run overheads weigh
-//! more against the smaller fleet).
+//! Acceptance gates: the rebuild performs **zero** model runs
+//! (counter-proven) and backdates at least one memo, so the edit was
+//! actually exercised.
 //!
 //! `--quick` shrinks the fleet to 50 traces for CI smoke;
 //! `--bench-out <path>` writes the `ion-obs/1` snapshot consumed by
@@ -39,9 +34,7 @@ use std::time::Instant;
 
 /// One synthetic trace, varied by index so every *table set* differs —
 /// the file path, write size and op count all embed `i` directly, never
-/// a cycle. A cycling fleet would let the coarse baseline's
-/// content-addressed issue keys dedupe across traces and understate its
-/// rebuild cost.
+/// a cycle.
 fn trace_bytes(i: usize) -> Vec<u8> {
     let ranks = 2 + (i % 3) as u32;
     let mut sim = Simulation::new(
@@ -64,7 +57,7 @@ fn trace_bytes(i: usize) -> Vec<u8> {
     LogWriter::from_log(sim.finish()).finish().unwrap()
 }
 
-/// The cosmetic edit: re-indent every line of every context. The coarse
+/// The cosmetic edit: re-indent every line of every context. The
 /// whole-text revision of each context changes; no knowledge statement
 /// does.
 fn reindented_contexts() -> Vec<IssueContext> {
@@ -110,7 +103,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -118,7 +110,6 @@ fn main() {
     let n_traces: usize = arg_value(&args, "--traces")
         .map(|s| s.parse().expect("--traces takes an integer"))
         .unwrap_or(if quick { 50 } else { 1000 });
-    let min_speedup = if quick { 3.0 } else { 5.0 };
     ion_obs::enable();
 
     println!("═══ incremental rebuild: {n_traces} traces, cosmetic context edit ═══\n");
@@ -129,63 +120,36 @@ fn main() {
 
     let traces: Vec<Vec<u8>> = (0..n_traces).map(trace_bytes).collect();
 
-    // Warm both keyings over the pristine builtin library. The key
-    // families are disjoint, so one store carries both.
+    // Warm the store over the pristine builtin library.
     let t0 = Instant::now();
-    let fine = StoredPipeline::new(Arc::clone(&store));
-    let diagnoses = analyze_all(&store, &fine, &traces);
-    let cold_fine_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let coarse = StoredPipeline::new(Arc::clone(&store)).with_coarse(true);
-    analyze_all(&store, &coarse, &traces);
-    let cold_coarse_s = t0.elapsed().as_secs_f64();
-    println!(
-        "cold      {cold_fine_s:>10.2}s fine  {cold_coarse_s:>10.2}s coarse  ({diagnoses} diagnoses)"
-    );
+    let driver = StoredPipeline::new(Arc::clone(&store));
+    let diagnoses = analyze_all(&store, &driver, &traces);
+    let cold_s = t0.elapsed().as_secs_f64();
+    println!("cold      {cold_s:>10.2}s  ({diagnoses} diagnoses)");
     assert!(diagnoses > 0, "the fleet must exercise the context library");
 
-    // The edit, then the timed rebuilds.
-    let contexts = reindented_contexts();
+    // The edit, then the timed rebuild.
     let before = ion_obs::snapshot();
-
     let t0 = Instant::now();
-    let fine = StoredPipeline::new(Arc::clone(&store))
-        .with_pipeline(IonPipeline::new().with_contexts(contexts.clone()));
-    analyze_all(&store, &fine, &traces);
+    let driver = StoredPipeline::new(Arc::clone(&store))
+        .with_pipeline(IonPipeline::new().with_contexts(reindented_contexts()));
+    analyze_all(&store, &driver, &traces);
     let fine_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mid = ion_obs::snapshot();
-
-    let t0 = Instant::now();
-    let coarse = StoredPipeline::new(Arc::clone(&store))
-        .with_pipeline(IonPipeline::new().with_contexts(contexts))
-        .with_coarse(true);
-    analyze_all(&store, &coarse, &traces);
-    let coarse_ms = t0.elapsed().as_secs_f64() * 1e3;
     let after = ion_obs::snapshot();
 
-    let fine_llm_runs = mid.counter("llm.runs") - before.counter("llm.runs");
+    let fine_llm_runs = after.counter("llm.runs") - before.counter("llm.runs");
     let backdated =
-        mid.counter("store.revalidate.backdated") - before.counter("store.revalidate.backdated");
-    let coarse_llm_runs = after.counter("llm.runs") - mid.counter("llm.runs");
-    let speedup = coarse_ms / fine_ms.max(1e-9);
-
-    println!(
-        "rebuild   {fine_ms:>10.1}ms fine  ({fine_llm_runs} model runs, {backdated} backdated)"
-    );
-    println!("rebuild   {coarse_ms:>10.1}ms coarse  ({coarse_llm_runs} model runs)");
-    println!("speedup   {speedup:>10.1}x  (gate ≥{min_speedup}x)");
+        after.counter("store.revalidate.backdated") - before.counter("store.revalidate.backdated");
+    println!("rebuild   {fine_ms:>10.1}ms  ({fine_llm_runs} model runs, {backdated} backdated)");
 
     // The committed snapshot carries the verdict, not the span firehose:
-    // four passes over the fleet record hundreds of thousands of spans,
+    // two passes over the fleet record hundreds of thousands of spans,
     // so drop them and re-emit the summary metrics the diff gate reads.
     ion_obs::reset();
-    ion_obs::gauge("incr.speedup", speedup);
     ion_obs::gauge("incr.fine_rebuild_ms", fine_ms);
-    ion_obs::gauge("incr.coarse_rebuild_ms", coarse_ms);
     ion_obs::counter("incr.traces", n_traces as u64);
     ion_obs::counter("incr.backdated", backdated);
     ion_obs::counter("incr.fine_llm_runs", fine_llm_runs);
-    ion_obs::counter("incr.coarse_llm_runs", coarse_llm_runs);
 
     if let Some(path) = &bench_out {
         let json = ion_obs::snapshot().to_json();
@@ -199,25 +163,15 @@ fn main() {
 
     // Acceptance gates.
     let mut gate_ok = true;
-    let mut fail = |msg: String| {
-        gate_ok = false;
-        eprintln!("FAIL: {msg}");
-    };
     if fine_llm_runs != 0 {
-        fail(format!(
-            "fine rebuild ran {fine_llm_runs} models — a cosmetic edit must backdate, not re-run"
-        ));
+        gate_ok = false;
+        eprintln!(
+            "FAIL: fine rebuild ran {fine_llm_runs} models — a cosmetic edit must backdate, not re-run"
+        );
     }
     if backdated == 0 {
-        fail("fine rebuild backdated nothing — the edit was not exercised".into());
-    }
-    if coarse_llm_runs == 0 {
-        fail("coarse rebuild re-ran nothing — the baseline was not exercised".into());
-    }
-    if speedup < min_speedup {
-        fail(format!(
-            "incremental rebuild speedup {speedup:.1}x under the {min_speedup}x gate"
-        ));
+        gate_ok = false;
+        eprintln!("FAIL: fine rebuild backdated nothing — the edit was not exercised");
     }
     if !gate_ok {
         std::process::exit(1);

@@ -2,8 +2,9 @@
 //!
 //! Three artifact kinds flow through the store:
 //!
-//! * **Tables** — the extracted [`TableSet`] plus the [`SystemParams`]
-//!   derived from the decoded log, memoizing decode + extraction.
+//! * **Tables** — one artifact per extracted table plus a [`TraceMeta`]
+//!   holding the [`SystemParams`] derived from the decoded log and every
+//!   table's digest, memoizing decode + extraction.
 //! * **Diagnosis** — one per-issue [`Diagnosis`]. Only the raw
 //!   completion, the typed metrics, the issue id and the context
 //!   revision are stored; everything else is reconstructed through
@@ -24,7 +25,6 @@
 use crate::digest::{Digest, Hasher, UnorderedDigest};
 use crate::StoreError;
 use extractor::csv::{from_csv, to_csv};
-use extractor::TableSet;
 use extractor::Value;
 use ion::analyzer::SystemParams;
 use ion::report::Diagnosis;
@@ -98,7 +98,7 @@ pub fn params_digest(p: &SystemParams) -> Digest {
 }
 
 // ---------------------------------------------------------------------
-// Tables artifact
+// Table digests
 // ---------------------------------------------------------------------
 
 /// Digest of one table: name and column set hash in order, rows fold
@@ -121,64 +121,6 @@ pub fn table_digest(table: &extractor::Table) -> Digest {
     }
     h.update(&rows.finish().0);
     h.finish()
-}
-
-/// Digest of a whole table set: per-table digests combined in sorted
-/// name order (the set is a map; name order carries no meaning, so a
-/// canonical order makes the digest deterministic).
-#[must_use]
-pub fn tables_digest(tables: &TableSet) -> Digest {
-    let mut h = Hasher::new();
-    h.update(b"ion-store/tables/1");
-    for (name, table) in tables.iter() {
-        h.field(name.as_bytes());
-        h.update(&table_digest(table).0);
-    }
-    h.finish()
-}
-
-/// Serialize the extraction stage's output: derived params + tables.
-#[must_use]
-pub fn encode_tables(tables: &TableSet, derived_params: &SystemParams) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"ion-tables v1\n");
-    out.extend_from_slice(format!("params {}\n", params_line(derived_params)).as_bytes());
-    for (name, table) in tables.iter() {
-        let csv = to_csv(table);
-        out.extend_from_slice(format!("table {name} {}\n", csv.len()).as_bytes());
-        out.extend_from_slice(csv.as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
-/// Decode an extraction artifact.
-pub fn decode_tables(bytes: &[u8]) -> Result<(TableSet, SystemParams), StoreError> {
-    let mut rest = bytes;
-    if take_line(&mut rest)? != "ion-tables v1" {
-        return Err(corrupt("bad tables header"));
-    }
-    let params = parse_params(
-        take_line(&mut rest)?
-            .strip_prefix("params ")
-            .ok_or_else(|| corrupt("missing params line"))?,
-    )?;
-    let mut tables = TableSet::default();
-    while !rest.is_empty() {
-        let line = take_line(&mut rest)?;
-        let spec = line
-            .strip_prefix("table ")
-            .ok_or_else(|| corrupt("expected table line"))?;
-        let (name, len) = spec
-            .rsplit_once(' ')
-            .ok_or_else(|| corrupt("bad table line"))?;
-        let len: usize = len.parse().map_err(|_| corrupt("bad table length"))?;
-        let csv = std::str::from_utf8(take_payload(&mut rest, len)?)
-            .map_err(|_| corrupt("non-UTF-8 table payload"))?;
-        let table = from_csv(name, csv).map_err(|e| corrupt(&format!("table {name}: {e}")))?;
-        tables.insert(table);
-    }
-    Ok((tables, params))
 }
 
 // ---------------------------------------------------------------------
@@ -429,7 +371,7 @@ pub fn decode_diagnosis(bytes: &[u8]) -> Result<Diagnosis, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extractor::Table;
+    use extractor::{Table, TableSet};
 
     fn sample_tables() -> TableSet {
         let mut t = Table::new("POSIX", &["file_name", "rank", "POSIX_WRITES"]);
@@ -441,23 +383,6 @@ mod tests {
         set.insert(t);
         set.insert(d);
         set
-    }
-
-    #[test]
-    fn tables_round_trip() {
-        let tables = sample_tables();
-        let params = SystemParams {
-            rpc_size: 1 << 22,
-            stripe_size: 1 << 20,
-            nprocs: 64,
-            runtime_seconds: 123.456,
-        };
-        let bytes = encode_tables(&tables, &params);
-        let (back, back_params) = decode_tables(&bytes).unwrap();
-        assert_eq!(back_params, params);
-        assert_eq!(tables_digest(&back), tables_digest(&tables));
-        assert_eq!(back.names(), tables.names());
-        assert_eq!(back.get("POSIX").unwrap(), tables.get("POSIX").unwrap());
     }
 
     #[test]
@@ -562,11 +487,6 @@ mod tests {
 
     #[test]
     fn truncated_artifacts_are_rejected() {
-        let tables = sample_tables();
-        let bytes = encode_tables(&tables, &SystemParams::default());
-        for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_tables(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
         assert!(decode_diagnosis(b"ion-diagnosis v1\n").is_err());
         assert!(decode_diagnosis(b"ion-diagnosis v2\nissue x\n").is_err());
     }

@@ -42,9 +42,8 @@
 //! text, so the summary stays warm through cosmetic context edits.
 
 use crate::codec::{
-    decode_diagnosis, decode_table, decode_tables, decode_trace_meta, encode_diagnosis,
-    encode_table, encode_tables, encode_trace_meta, params_digest, table_digest, tables_digest,
-    TableEntry, TraceMeta,
+    decode_diagnosis, decode_table, decode_trace_meta, encode_diagnosis, encode_table,
+    encode_trace_meta, params_digest, table_digest, TableEntry, TraceMeta,
 };
 use crate::digest::{digest_bytes, Digest, Hasher};
 use crate::memo::{decode_memo, encode_memo, Durability, IssueMemo, StatementDep};
@@ -236,7 +235,6 @@ pub struct StoredPipeline<'m> {
     pipeline: IonPipeline,
     model: &'m dyn LanguageModel,
     exec: ion_exec::Batch,
-    coarse: bool,
 }
 
 impl std::fmt::Debug for StoredPipeline<'_> {
@@ -244,7 +242,6 @@ impl std::fmt::Debug for StoredPipeline<'_> {
         f.debug_struct("StoredPipeline")
             .field("store", &self.store.root())
             .field("model", &self.model.model_id())
-            .field("coarse", &self.coarse)
             .finish()
     }
 }
@@ -259,7 +256,6 @@ impl StoredPipeline<'static> {
             pipeline: IonPipeline::new(),
             model: &DEFAULT_MODEL,
             exec: ion_exec::Batch::new(),
-            coarse: false,
         }
     }
 }
@@ -280,16 +276,6 @@ impl<'m> StoredPipeline<'m> {
         self
     }
 
-    /// Use the pre-statement coarse keying (one monolithic key per
-    /// stage, whole-context revision, no memos, no revalidation). Kept
-    /// as the baseline the `exp_incr` benchmark measures fine-grained
-    /// red-green revalidation against.
-    #[must_use]
-    pub fn with_coarse(mut self, coarse: bool) -> Self {
-        self.coarse = coarse;
-        self
-    }
-
     /// Use a custom model backend (its `model_id` keys the cache).
     #[must_use]
     pub fn with_model<'n>(self, model: &'n dyn LanguageModel) -> StoredPipeline<'n> {
@@ -298,7 +284,6 @@ impl<'m> StoredPipeline<'m> {
             pipeline: self.pipeline,
             model,
             exec: self.exec,
-            coarse: self.coarse,
         }
     }
 
@@ -325,20 +310,15 @@ impl<'m> StoredPipeline<'m> {
         // One trace touches a dozen keys (meta, tables, memos, diags,
         // summary); batch them into a single manifest save so warm
         // revalidation isn't dominated by whole-manifest rewrites.
-        self.store.with_deferred_saves(|| {
-            if self.coarse {
-                self.analyze_coarse(bytes, &trace_digest, &run_span)
-            } else {
-                self.analyze_fine(bytes, &trace_digest, &run_span)
-            }
-        })
+        self.store
+            .with_deferred_saves(|| self.analyze_stages(bytes, &trace_digest, &run_span))
     }
 
     // -----------------------------------------------------------------
-    // Fine-grained path (default): per-module stage 1, red-green stage 2
+    // Per-module stage 1, red-green stage 2
     // -----------------------------------------------------------------
 
-    fn analyze_fine(
+    fn analyze_stages(
         &self,
         bytes: &[u8],
         trace_digest: &Digest,
@@ -608,76 +588,6 @@ impl<'m> StoredPipeline<'m> {
             .map_err(|_| StoreError::Corrupt("summary artifact is not UTF-8".into()))
     }
 
-    // -----------------------------------------------------------------
-    // Coarse baseline (pre-statement keying, `with_coarse(true)`)
-    // -----------------------------------------------------------------
-
-    fn analyze_coarse(
-        &self,
-        bytes: &[u8],
-        trace_digest: &Digest,
-        run_span: &ion_obs::SpanGuard<'_>,
-    ) -> Result<IonReport, StoreError> {
-        // Stage 1 — decode + extract, keyed by the raw trace bytes.
-        let trace_key = format!("trace/{}", trace_digest.hex());
-        let tables_artifact = self.store.get_or_compute(&trace_key, || {
-            ion_obs::counter("store.recompute.trace", 1);
-            let mut span = ion_obs::span!("store.recompute", stage = "trace");
-            span.attr("trace", trace_digest.short());
-            let (tables, derived) = extract_from_bytes(bytes)?;
-            Ok(encode_tables(&tables, &derived))
-        })?;
-        let (tables, derived_params) = decode_tables(&tables_artifact)?;
-        let params = self.pipeline.params_override().unwrap_or(derived_params);
-
-        // Stage 2 — per-issue analyses under one monolithic key each:
-        // extracted content, parameters, whole-context revision, model.
-        let contexts = self.pipeline.contexts_for(&tables);
-        let (applicable, skipped) = applicable_contexts(&contexts, &tables);
-        let tables_d = tables_digest(&tables).hex();
-        let params_d = params_digest(&params).hex();
-        let model_id = key_safe(self.model.model_id());
-        let analyzer = Analyzer::with_model(self.model);
-
-        let parent = run_span.id();
-        let outcomes = self.exec.map_ordered(&applicable, |context, ctx| {
-            let key = format!(
-                "issue/{}/{}/{}/{}/{}",
-                context.id,
-                tables_d,
-                params_d,
-                context.revision().hex(),
-                model_id
-            );
-            let artifact = self.store.get_or_compute(&key, || {
-                ion_obs::counter("store.recompute.issue", 1);
-                let mut span = ion_obs::span_under(parent, "store.recompute");
-                span.attr("stage", "issue");
-                span.attr("issue", context.id);
-                Ok(encode_diagnosis(&analyzer.analyze_issue_interruptible(
-                    context,
-                    &tables,
-                    &params,
-                    ctx.interrupt(),
-                )))
-            })?;
-            decode_diagnosis(&artifact)
-        });
-        let mut diagnoses: Vec<Diagnosis> = Vec::with_capacity(applicable.len());
-        for outcome in outcomes {
-            diagnoses.push(unwrap_outcome(outcome)?);
-        }
-
-        let summary = self.summary_stage(&diagnoses, &model_id, parent, || Ok(&tables))?;
-
-        Ok(IonReport {
-            diagnoses,
-            summary,
-            skipped,
-            params: Some(params),
-        })
-    }
-
     /// Analyze a trace file on disk.
     pub fn analyze_file(&self, path: impl AsRef<Path>) -> Result<IonReport, StoreError> {
         let path = path.as_ref();
@@ -811,23 +721,6 @@ mod tests {
         assert_eq!(warm, cold);
         let root = store.root().to_path_buf();
         drop((driver, store));
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn coarse_and_fine_agree() {
-        let bytes = trace_bytes();
-        let store = tmp_store("coarse");
-        let fine = StoredPipeline::new(Arc::clone(&store))
-            .analyze_bytes(&bytes)
-            .unwrap();
-        let coarse = StoredPipeline::new(Arc::clone(&store))
-            .with_coarse(true)
-            .analyze_bytes(&bytes)
-            .unwrap();
-        assert_eq!(coarse, fine);
-        let root = store.root().to_path_buf();
-        drop(store);
         let _ = std::fs::remove_dir_all(root);
     }
 
