@@ -47,6 +47,14 @@ pub enum DarshanError {
     },
     /// A varint was longer than the maximum encodable width.
     VarintOverflow,
+    /// A name-table region came after a module region. Names must
+    /// precede every module record, so that a streaming consumer can
+    /// resolve each record's path the moment it arrives.
+    NamesAfterModule {
+        /// Byte offset (from the start of the log) of the late names
+        /// region.
+        offset: usize,
+    },
     /// A record referenced an unknown module id.
     UnknownModule {
         /// The raw module id found in the input.
@@ -110,6 +118,10 @@ impl fmt::Display for DarshanError {
                 write!(f, "arithmetic overflow while accumulating {what}")
             }
             DarshanError::VarintOverflow => write!(f, "varint exceeds 64-bit range"),
+            DarshanError::NamesAfterModule { offset } => write!(
+                f,
+                "names region at byte offset {offset} follows a module region; names must come first"
+            ),
             DarshanError::UnknownModule { id } => write!(f, "unknown module id {id}"),
             DarshanError::CounterCountMismatch {
                 module,
@@ -155,6 +167,7 @@ mod tests {
                 what: "dxt segment offset",
             },
             DarshanError::VarintOverflow,
+            DarshanError::NamesAfterModule { offset: 96 },
             DarshanError::UnknownModule { id: 200 },
             DarshanError::CounterCountMismatch {
                 module: "POSIX",

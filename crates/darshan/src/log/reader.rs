@@ -146,69 +146,39 @@ pub(super) fn decode_region(log: &mut Log, tag: u8, payload: &[u8]) -> Result<bo
             log.job = decode_job(&mut p)?;
             return Ok(true);
         }
-        TAG_NAMES => {
-            let n = get_uvarint(&mut p)? as usize;
-            let mut names = Vec::new();
-            for _ in 0..n {
-                let id = get_uvarint(&mut p)?;
-                let path = get_string(&mut p)?;
-                names.push(NameRecord { id, path });
-            }
-            log.names.extend(names);
-        }
+        TAG_NAMES => log.names.extend(decode_records(&mut p, decode_name)?),
         t => match ModuleId::from_code(t) {
-            Some(ModuleId::Posix) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_posix(&mut p)?);
-                }
-                log.posix.extend(records);
-            }
-            Some(ModuleId::MpiIo) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_mpiio(&mut p)?);
-                }
-                log.mpiio.extend(records);
-            }
-            Some(ModuleId::Stdio) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_stdio(&mut p)?);
-                }
-                log.stdio.extend(records);
-            }
-            Some(ModuleId::Lustre) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_lustre(&mut p)?);
-                }
-                log.lustre.extend(records);
-            }
-            Some(ModuleId::Dxt) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_dxt(&mut p)?);
-                }
-                log.dxt.extend(records);
-            }
+            Some(ModuleId::Posix) => log.posix.extend(decode_records(&mut p, decode_posix)?),
+            Some(ModuleId::MpiIo) => log.mpiio.extend(decode_records(&mut p, decode_mpiio)?),
+            Some(ModuleId::Stdio) => log.stdio.extend(decode_records(&mut p, decode_stdio)?),
+            Some(ModuleId::Lustre) => log.lustre.extend(decode_records(&mut p, decode_lustre)?),
+            Some(ModuleId::Dxt) => log.dxt.extend(decode_records(&mut p, decode_dxt)?),
             Some(ModuleId::Heatmap) => {
-                let n = get_uvarint(&mut p)? as usize;
-                let mut records = Vec::new();
-                for _ in 0..n {
-                    records.push(decode_heatmap(&mut p)?);
-                }
-                log.heatmap.extend(records);
+                log.heatmap.extend(decode_records(&mut p, decode_heatmap)?);
             }
             None => return Err(DarshanError::UnknownModule { id: t }),
         },
     }
     Ok(false)
+}
+
+/// A region payload: a record count, then that many records.
+fn decode_records<T>(
+    p: &mut &[u8],
+    decode: impl Fn(&mut &[u8]) -> Result<T, DarshanError>,
+) -> Result<Vec<T>, DarshanError> {
+    let n = get_uvarint(p)? as usize;
+    let mut records = Vec::new();
+    for _ in 0..n {
+        records.push(decode(p)?);
+    }
+    Ok(records)
+}
+
+fn decode_name(p: &mut &[u8]) -> Result<NameRecord, DarshanError> {
+    let id = get_uvarint(p)?;
+    let path = get_string(p)?;
+    Ok(NameRecord { id, path })
 }
 
 fn decode_job(p: &mut &[u8]) -> Result<JobRecord, DarshanError> {

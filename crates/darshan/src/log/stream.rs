@@ -11,22 +11,31 @@
 //! never materialized, which is what lets selective consumers (the
 //! chunked extractor, module-filtered tools) stay cheap.
 //!
-//! [`StreamWriter`] is the encode-side dual: it frames regions to any
-//! [`io::Write`] sink as they are handed in, so a producer can emit a
-//! log far larger than memory by writing module records in chunks —
-//! the reader's region decoder *extends* per-module vectors, so a log
-//! with fifty small DXT regions decodes identically to one with a
-//! single huge one.
+//! [`StreamWriter`] is the encode-side dual and the only region
+//! framer: it frames regions to any [`io::Write`] sink as they are
+//! handed in, so a producer can emit a log far larger than memory by
+//! writing module records in chunks — the reader's region decoder
+//! *extends* per-module vectors, so a log with fifty small DXT regions
+//! decodes identically to one with a single huge one.
+//! [`super::LogWriter::finish`] drives it over a `Vec<u8>`.
+//!
+//! The name table must precede every module region: a consumer that
+//! folds regions as they arrive (the streaming extractor) resolves each
+//! record's path on sight. The decoder marks a names region that
+//! follows a module region, and consuming it fails with
+//! [`DarshanError::NamesAfterModule`]. Every decode path goes through
+//! [`RawRegion::decode_into`], so the strict reader, the lenient reader
+//! (which skips just that region) and the streaming extractor all
+//! treat such a log the same way.
 //!
 //! [`super::LogReader::read`] and [`super::LogReader::read_lenient`]
 //! are thin drivers over [`StreamDecoder`] that consume every region
-//! eagerly; their error taxonomy and observability counters are
-//! unchanged.
+//! eagerly.
 //!
 //! One-byte header reads make unbuffered sources slow: wrap files in a
 //! [`std::io::BufReader`] before handing them to [`StreamDecoder`].
 
-use super::varint::put_uvarint;
+use super::varint::{put_string, put_uvarint};
 use super::writer::{
     encode_counter_record, encode_dxt_record, encode_heatmap_record, encode_job,
     encode_lustre_record,
@@ -61,6 +70,8 @@ pub struct StreamDecoder<R: Read> {
     /// [`DarshanError::Truncated`]).
     pos: usize,
     done: bool,
+    /// Whether a module region has been framed yet.
+    seen_module: bool,
 }
 
 impl<R: Read> StreamDecoder<R> {
@@ -93,6 +104,7 @@ impl<R: Read> StreamDecoder<R> {
             src,
             pos: 8,
             done: false,
+            seen_module: false,
         })
     }
 
@@ -161,11 +173,14 @@ impl<R: Read> StreamDecoder<R> {
         }
         let stored_crc = u32::from_le_bytes([buf[len], buf[len + 1], buf[len + 2], buf[len + 3]]);
         buf.truncate(len);
+        let late_names = tag == TAG_NAMES && self.seen_module;
+        self.seen_module |= tag != TAG_JOB && tag != TAG_NAMES;
         Ok(Some(RawRegion {
             tag,
             offset: region_start,
             payload: buf,
             stored_crc,
+            late_names,
         }))
     }
 
@@ -222,6 +237,8 @@ pub struct RawRegion {
     pub offset: usize,
     payload: Vec<u8>,
     stored_crc: u32,
+    /// A names region framed after a module region.
+    late_names: bool,
 }
 
 impl RawRegion {
@@ -258,18 +275,25 @@ impl RawRegion {
         Ok(())
     }
 
-    /// Consume the region: CRC check, then record decode into `log`
-    /// (module regions *extend* the per-module vectors). Returns whether
-    /// this was the job region.
+    /// Consume the region: CRC check, ordering check, then record
+    /// decode into `log` (module regions *extend* the per-module
+    /// vectors). Returns whether this was the job region.
     ///
     /// # Errors
     ///
-    /// [`DarshanError::ChecksumMismatch`] or any record-level decode
-    /// error; `log` keeps no partial records from a failed region.
+    /// [`DarshanError::ChecksumMismatch`],
+    /// [`DarshanError::NamesAfterModule`] for a names region that
+    /// follows a module region, or any record-level decode error; `log`
+    /// keeps no partial records from a failed region.
     pub fn decode_into(&self, log: &mut Log) -> Result<bool, DarshanError> {
         let mut span = ion_obs::span!(region_span_name(self.tag));
         span.attr("bytes", self.payload.len());
         self.verify()?;
+        if self.late_names {
+            return Err(DarshanError::NamesAfterModule {
+                offset: self.offset,
+            });
+        }
         super::reader::decode_region(log, self.tag, &self.payload)
     }
 }
@@ -301,13 +325,13 @@ pub(super) fn region_span_name(tag: u8) -> &'static str {
 
 /// Incremental log encoder: frames regions to a sink as they arrive.
 ///
-/// Unlike [`super::LogWriter`], which buffers the whole log and frames
-/// it in one pass, a `StreamWriter` holds only the region currently
-/// being encoded. Module writers may be called repeatedly — each call
-/// emits one region, and the reader's extend-on-decode semantics
-/// reassemble them — so a producer can emit arbitrarily large traces in
-/// bounded memory. Region framing is byte-identical to
-/// [`super::LogWriter::finish`] for the same record batches.
+/// A `StreamWriter` holds only the region currently being encoded.
+/// Module writers may be called repeatedly — each call emits one
+/// region, and the reader's extend-on-decode semantics reassemble them
+/// — so a producer can emit arbitrarily large traces in bounded memory.
+/// Call [`StreamWriter::write_names`] before any module writer: a names
+/// region after a module region is rejected on decode.
+/// [`super::LogWriter::finish`] is this writer over a `Vec<u8>`.
 #[derive(Debug)]
 pub struct StreamWriter<W: Write> {
     out: W,
@@ -354,18 +378,31 @@ impl<W: Write> StreamWriter<W> {
         Ok(())
     }
 
+    /// Encode `records` as one region: a count, then each record.
+    fn write_region<T>(
+        &mut self,
+        tag: u8,
+        records: &[T],
+        encode: impl Fn(&mut Vec<u8>, &T) -> Result<(), DarshanError>,
+    ) -> Result<(), DarshanError> {
+        self.payload.clear();
+        put_uvarint(&mut self.payload, records.len() as u64);
+        for r in records {
+            encode(&mut self.payload, r)?;
+        }
+        self.flush_region(tag)
+    }
+
     /// Emit a name-table region.
     ///
     /// # Errors
     ///
     /// [`DarshanError::Io`] / [`DarshanError::StringTooLong`].
     pub fn write_names(&mut self, names: &[NameRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, names.len() as u64);
-        for n in names {
-            put_uvarint(&mut self.payload, n.id);
-            super::varint::put_string(&mut self.payload, &n.path)?;
-        }
-        self.flush_region(TAG_NAMES)
+        self.write_region(TAG_NAMES, names, |buf, n| {
+            put_uvarint(buf, n.id);
+            put_string(buf, &n.path)
+        })
     }
 
     /// Emit one POSIX region holding `records`.
@@ -374,17 +411,10 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`].
     pub fn write_posix(&mut self, records: &[PosixRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_counter_record(
-                &mut self.payload,
-                r.file_id,
-                r.rank,
-                &r.counters,
-                &r.fcounters,
-            );
-        }
-        self.flush_region(ModuleId::Posix.code())
+        self.write_region(ModuleId::Posix.code(), records, |buf, r| {
+            encode_counter_record(buf, r.file_id, r.rank, &r.counters, &r.fcounters);
+            Ok(())
+        })
     }
 
     /// Emit one MPI-IO region holding `records`.
@@ -393,17 +423,10 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`].
     pub fn write_mpiio(&mut self, records: &[MpiioRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_counter_record(
-                &mut self.payload,
-                r.file_id,
-                r.rank,
-                &r.counters,
-                &r.fcounters,
-            );
-        }
-        self.flush_region(ModuleId::MpiIo.code())
+        self.write_region(ModuleId::MpiIo.code(), records, |buf, r| {
+            encode_counter_record(buf, r.file_id, r.rank, &r.counters, &r.fcounters);
+            Ok(())
+        })
     }
 
     /// Emit one STDIO region holding `records`.
@@ -412,17 +435,10 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`].
     pub fn write_stdio(&mut self, records: &[StdioRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_counter_record(
-                &mut self.payload,
-                r.file_id,
-                r.rank,
-                &r.counters,
-                &r.fcounters,
-            );
-        }
-        self.flush_region(ModuleId::Stdio.code())
+        self.write_region(ModuleId::Stdio.code(), records, |buf, r| {
+            encode_counter_record(buf, r.file_id, r.rank, &r.counters, &r.fcounters);
+            Ok(())
+        })
     }
 
     /// Emit one Lustre region holding `records`.
@@ -431,11 +447,10 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`].
     pub fn write_lustre(&mut self, records: &[LustreRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_lustre_record(&mut self.payload, r);
-        }
-        self.flush_region(ModuleId::Lustre.code())
+        self.write_region(ModuleId::Lustre.code(), records, |buf, r| {
+            encode_lustre_record(buf, r);
+            Ok(())
+        })
     }
 
     /// Emit one DXT region holding `records`.
@@ -444,11 +459,7 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`] / [`DarshanError::StringTooLong`].
     pub fn write_dxt(&mut self, records: &[DxtRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_dxt_record(&mut self.payload, r)?;
-        }
-        self.flush_region(ModuleId::Dxt.code())
+        self.write_region(ModuleId::Dxt.code(), records, encode_dxt_record)
     }
 
     /// Emit one heatmap region holding `records`.
@@ -457,11 +468,10 @@ impl<W: Write> StreamWriter<W> {
     ///
     /// [`DarshanError::Io`].
     pub fn write_heatmap(&mut self, records: &[HeatmapRecord]) -> Result<(), DarshanError> {
-        put_uvarint(&mut self.payload, records.len() as u64);
-        for r in records {
-            encode_heatmap_record(&mut self.payload, r);
-        }
-        self.flush_region(ModuleId::Heatmap.code())
+        self.write_region(ModuleId::Heatmap.code(), records, |buf, r| {
+            encode_heatmap_record(buf, r);
+            Ok(())
+        })
     }
 
     /// Terminate the log (end tag) and return the sink.
@@ -510,17 +520,65 @@ mod tests {
         log
     }
 
+    /// `sample_log` plus one record in each of the other four modules.
+    fn six_module_log() -> Log {
+        let mut log = sample_log();
+        log.posix.push(PosixRecord::new(9, 0));
+        log.mpiio.push(MpiioRecord::new(9, 1));
+        log.stdio.push(StdioRecord::new(9, 0));
+        let mut hm = crate::heatmap::HeatmapAccumulator::new(1);
+        hm.observe(true, 4096, 0.2, 0.3);
+        log.heatmap.push(hm.finish());
+        log
+    }
+
     #[test]
     fn stream_writer_matches_batch_writer_bytes() {
-        let log = sample_log();
-        let batch = LogWriter::from_log(log.clone()).finish().unwrap();
+        let mut unnamed = six_module_log();
+        unnamed.names.clear();
+        for log in [sample_log(), six_module_log(), unnamed] {
+            let batch = LogWriter::from_log(log.clone()).finish().unwrap();
 
+            let mut w = StreamWriter::new(Vec::new(), &log.job).unwrap();
+            w.write_names(&log.names).unwrap();
+            if !log.posix.is_empty() {
+                w.write_posix(&log.posix).unwrap();
+            }
+            if !log.mpiio.is_empty() {
+                w.write_mpiio(&log.mpiio).unwrap();
+            }
+            if !log.stdio.is_empty() {
+                w.write_stdio(&log.stdio).unwrap();
+            }
+            w.write_lustre(&log.lustre).unwrap();
+            w.write_dxt(&log.dxt).unwrap();
+            if !log.heatmap.is_empty() {
+                w.write_heatmap(&log.heatmap).unwrap();
+            }
+            let streamed = w.finish().unwrap();
+            assert_eq!(streamed, batch);
+            assert_eq!(LogReader::read(&streamed).unwrap(), log);
+        }
+    }
+
+    #[test]
+    fn names_after_a_module_region_are_rejected() {
+        let log = sample_log();
         let mut w = StreamWriter::new(Vec::new(), &log.job).unwrap();
-        w.write_names(&log.names).unwrap();
-        w.write_lustre(&log.lustre).unwrap();
         w.write_dxt(&log.dxt).unwrap();
-        let streamed = w.finish().unwrap();
-        assert_eq!(streamed, batch);
+        w.write_names(&log.names).unwrap();
+        let bytes = w.finish().unwrap();
+
+        let err = LogReader::read(&bytes).unwrap_err();
+        assert!(
+            matches!(err, DarshanError::NamesAfterModule { .. }),
+            "{err:?}"
+        );
+        // Lenient decode skips only the late names region.
+        let partial = LogReader::read_lenient(&bytes).unwrap();
+        assert_eq!(partial.errors, vec![err]);
+        assert_eq!(partial.log.dxt, log.dxt);
+        assert!(partial.log.names.is_empty());
     }
 
     #[test]

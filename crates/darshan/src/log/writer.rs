@@ -1,8 +1,7 @@
 //! Log serialization.
 
 use super::varint::{put_f64, put_ivarint, put_string, put_uvarint};
-use super::{crc32, Log, MAGIC, TAG_END, TAG_JOB, TAG_NAMES, VERSION};
-use crate::counters::ModuleId;
+use super::{Log, StreamWriter};
 use crate::dxt::{DxtLayer, DxtRecord};
 use crate::heatmap::HeatmapRecord;
 use crate::records::{JobRecord, LustreRecord, MpiioRecord, PosixRecord, StdioRecord};
@@ -11,8 +10,8 @@ use crate::DarshanError;
 /// Accumulates records and serializes them into the binary log format.
 ///
 /// The writer mirrors how `darshan-core` assembles a log at MPI finalize
-/// time: records are appended per module and the container is framed in one
-/// pass by [`LogWriter::finish`].
+/// time: records are appended per module and [`LogWriter::finish`]
+/// serializes the container in one pass.
 #[derive(Debug, Clone)]
 pub struct LogWriter {
     log: Log,
@@ -71,11 +70,6 @@ impl LogWriter {
         self.log.heatmap.push(record);
     }
 
-    /// Access the job record for mutation (e.g. to set end time).
-    pub fn job_mut(&mut self) -> &mut JobRecord {
-        &mut self.log.job
-    }
-
     /// Consume the writer and return the in-memory log without serializing.
     #[must_use]
     pub fn into_log(self) -> Log {
@@ -88,90 +82,38 @@ impl LogWriter {
         &self.log
     }
 
-    /// Serialize the log into bytes.
+    /// Serialize the log into bytes: the job region, the name table
+    /// (always, even when empty), then one region per non-empty module,
+    /// framed by a [`StreamWriter`] over a `Vec<u8>`.
     ///
     /// # Errors
     ///
     /// Fails only if a string field (path, hostname, exe) exceeds the
     /// format's 64 KiB string limit.
     pub fn finish(&mut self) -> Result<Vec<u8>, DarshanError> {
-        let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags
-
-        let mut payload = Vec::new();
-        encode_job(&mut payload, &self.log.job)?;
-        region(&mut out, TAG_JOB, &payload);
-
-        payload.clear();
-        put_uvarint(&mut payload, self.log.names.len() as u64);
-        for n in &self.log.names {
-            put_uvarint(&mut payload, n.id);
-            put_string(&mut payload, &n.path)?;
+        let log = &self.log;
+        let mut w = StreamWriter::new(Vec::with_capacity(4096), &log.job)?;
+        w.write_names(&log.names)?;
+        if !log.posix.is_empty() {
+            w.write_posix(&log.posix)?;
         }
-        region(&mut out, TAG_NAMES, &payload);
-
-        if !self.log.posix.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.posix.len() as u64);
-            for r in &self.log.posix {
-                encode_counter_record(&mut payload, r.file_id, r.rank, &r.counters, &r.fcounters);
-            }
-            region(&mut out, ModuleId::Posix.code(), &payload);
+        if !log.mpiio.is_empty() {
+            w.write_mpiio(&log.mpiio)?;
         }
-        if !self.log.mpiio.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.mpiio.len() as u64);
-            for r in &self.log.mpiio {
-                encode_counter_record(&mut payload, r.file_id, r.rank, &r.counters, &r.fcounters);
-            }
-            region(&mut out, ModuleId::MpiIo.code(), &payload);
+        if !log.stdio.is_empty() {
+            w.write_stdio(&log.stdio)?;
         }
-        if !self.log.stdio.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.stdio.len() as u64);
-            for r in &self.log.stdio {
-                encode_counter_record(&mut payload, r.file_id, r.rank, &r.counters, &r.fcounters);
-            }
-            region(&mut out, ModuleId::Stdio.code(), &payload);
+        if !log.lustre.is_empty() {
+            w.write_lustre(&log.lustre)?;
         }
-        if !self.log.lustre.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.lustre.len() as u64);
-            for r in &self.log.lustre {
-                encode_lustre_record(&mut payload, r);
-            }
-            region(&mut out, ModuleId::Lustre.code(), &payload);
+        if !log.dxt.is_empty() {
+            w.write_dxt(&log.dxt)?;
         }
-        if !self.log.dxt.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.dxt.len() as u64);
-            for r in &self.log.dxt {
-                encode_dxt_record(&mut payload, r)?;
-            }
-            region(&mut out, ModuleId::Dxt.code(), &payload);
+        if !log.heatmap.is_empty() {
+            w.write_heatmap(&log.heatmap)?;
         }
-
-        if !self.log.heatmap.is_empty() {
-            payload.clear();
-            put_uvarint(&mut payload, self.log.heatmap.len() as u64);
-            for r in &self.log.heatmap {
-                encode_heatmap_record(&mut payload, r);
-            }
-            region(&mut out, ModuleId::Heatmap.code(), &payload);
-        }
-
-        out.push(TAG_END);
-        Ok(out)
+        w.finish()
     }
-}
-
-pub(super) fn region(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    put_uvarint(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
 pub(super) fn encode_lustre_record(payload: &mut Vec<u8>, r: &LustreRecord) {
