@@ -1,5 +1,6 @@
 //! The extractor: Darshan [`Log`] → per-module [`Table`]s.
 
+use crate::chunked::ChunkedTableBuilder;
 use crate::table::{Table, Value};
 use darshan::counters::{
     LustreCounter, MpiioCounter, MpiioFCounter, PosixCounter, PosixFCounter, StdioCounter,
@@ -10,6 +11,8 @@ use darshan::heatmap::HeatmapRecord;
 use darshan::log::Log;
 use darshan::records::LustreRecord;
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::io;
 
 /// The set of tables the extractor produces for one log.
 #[derive(Debug, Clone, Default)]
@@ -62,7 +65,7 @@ impl TableSet {
 const ID_COLUMNS: [&str; 3] = ["file_id", "file_name", "rank"];
 
 /// `HEATMAP` table columns.
-pub(crate) const HEATMAP_COLUMNS: [&str; 6] = [
+const HEATMAP_COLUMNS: [&str; 6] = [
     "rank",
     "bin",
     "bin_start",
@@ -72,7 +75,7 @@ pub(crate) const HEATMAP_COLUMNS: [&str; 6] = [
 ];
 
 /// `DXT` table columns.
-pub(crate) const DXT_COLUMNS: [&str; 10] = [
+const DXT_COLUMNS: [&str; 10] = [
     "file_id",
     "file_name",
     "rank",
@@ -86,7 +89,7 @@ pub(crate) const DXT_COLUMNS: [&str; 10] = [
 ];
 
 /// `POSIX` table columns.
-pub(crate) fn posix_columns() -> Vec<&'static str> {
+fn posix_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(PosixCounter::ALL.iter().map(|c| c.name()));
     cols.extend(PosixFCounter::ALL.iter().map(|c| c.name()));
@@ -94,7 +97,7 @@ pub(crate) fn posix_columns() -> Vec<&'static str> {
 }
 
 /// `MPIIO` table columns.
-pub(crate) fn mpiio_columns() -> Vec<&'static str> {
+fn mpiio_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(MpiioCounter::ALL.iter().map(|c| c.name()));
     cols.extend(MpiioFCounter::ALL.iter().map(|c| c.name()));
@@ -102,7 +105,7 @@ pub(crate) fn mpiio_columns() -> Vec<&'static str> {
 }
 
 /// `STDIO` table columns.
-pub(crate) fn stdio_columns() -> Vec<&'static str> {
+fn stdio_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(StdioCounter::ALL.iter().map(|c| c.name()));
     cols.extend(StdioFCounter::ALL.iter().map(|c| c.name()));
@@ -110,7 +113,7 @@ pub(crate) fn stdio_columns() -> Vec<&'static str> {
 }
 
 /// `LUSTRE` table columns.
-pub(crate) fn lustre_columns() -> Vec<&'static str> {
+fn lustre_columns() -> Vec<&'static str> {
     let mut cols: Vec<&str> = ID_COLUMNS.to_vec();
     cols.extend(LustreCounter::ALL.iter().map(|c| c.name()));
     cols.push("LUSTRE_OST_IDS");
@@ -125,9 +128,8 @@ fn id_cells(path: Option<&str>, file_id: u64, rank: i32) -> Vec<Value> {
     ]
 }
 
-/// One row of a counter table (`POSIX`/`MPIIO`/`STDIO`). Shared between
-/// the batch and streaming extractors so both produce identical cells.
-pub(crate) fn counter_row(
+/// One row of a counter table (`POSIX`/`MPIIO`/`STDIO`).
+fn counter_row(
     file_id: u64,
     rank: i32,
     path: Option<&str>,
@@ -141,7 +143,7 @@ pub(crate) fn counter_row(
 }
 
 /// One `LUSTRE` table row.
-pub(crate) fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
+fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
     let mut row = id_cells(path, r.file_id, r.rank);
     row.extend(r.counters.iter().map(|&c| Value::Int(c)));
     let ids: Vec<String> = r.ost_ids.iter().map(ToString::to_string).collect();
@@ -150,7 +152,7 @@ pub(crate) fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
 }
 
 /// One `HEATMAP` table row (one per time bin of a record).
-pub(crate) fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Vec<Value> {
+fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Vec<Value> {
     vec![
         Value::Int(i64::from(r.rank)),
         Value::Int(bin as i64),
@@ -162,7 +164,7 @@ pub(crate) fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Ve
 }
 
 /// One `DXT` table row (one per traced operation of a record).
-pub(crate) fn dxt_row(
+fn dxt_row(
     r: &DxtRecord,
     path: Option<&str>,
     seg_no: usize,
@@ -183,96 +185,183 @@ pub(crate) fn dxt_row(
     ]
 }
 
+/// A table under construction: a dense [`Table`] for the batch
+/// extractor, a [`ChunkedTableBuilder`] for the streaming one.
+pub(crate) trait TableSink {
+    /// What pushing a row or finishing the table can fail with.
+    type Error;
+    /// Append one row.
+    fn push_row(&mut self, row: Vec<Value>) -> Result<(), Self::Error>;
+    /// The finished table.
+    fn into_table(self) -> Result<Table, Self::Error>;
+}
+
+impl TableSink for Table {
+    type Error = Infallible;
+
+    fn push_row(&mut self, row: Vec<Value>) -> Result<(), Infallible> {
+        Table::push_row(self, row);
+        Ok(())
+    }
+
+    fn into_table(self) -> Result<Table, Infallible> {
+        Ok(self)
+    }
+}
+
+impl TableSink for ChunkedTableBuilder {
+    type Error = io::Error;
+
+    fn push_row(&mut self, row: Vec<Value>) -> io::Result<()> {
+        ChunkedTableBuilder::push_row(self, row)
+    }
+
+    fn into_table(self) -> io::Result<Table> {
+        self.finish()
+    }
+}
+
+/// Record id → path; the first registration of an id wins.
+type Paths = HashMap<u64, String>;
+
+fn path_of(paths: &Paths, id: u64) -> Option<&str> {
+    paths.get(&id).map(String::as_str)
+}
+
+/// The module → table fold both extractors run: the batch extractor
+/// folds a whole [`Log`] once, the streaming extractor one decoded
+/// region at a time.
+///
+/// A table is created when its module's first record arrives, so an
+/// absent module yields an absent table (module absence is a signal
+/// downstream). Names must be folded before the records that use them;
+/// the decoder rejects logs whose name table follows a module region.
+pub(crate) struct ModuleTables<S, F> {
+    new_table: F,
+    tables: Vec<(&'static str, S)>,
+    paths: Paths,
+    first_lustre: Option<LustreRecord>,
+}
+
+impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
+    /// An empty fold creating each table with `new_table(name, columns)`.
+    pub(crate) fn new(new_table: F) -> Self {
+        // Counted (not just spanned) so cache layers can prove "zero
+        // extractions happened" from a metrics snapshot alone.
+        ion_obs::counter("extract.runs", 1);
+        ModuleTables {
+            new_table,
+            tables: Vec::new(),
+            paths: Paths::new(),
+            first_lustre: None,
+        }
+    }
+
+    /// Fold the names and every module record of `log` into the tables.
+    pub(crate) fn fold(&mut self, log: &Log) -> Result<(), S::Error> {
+        for n in &log.names {
+            self.paths.entry(n.id).or_insert_with(|| n.path.clone());
+        }
+        let counters = |t: &mut S, paths: &Paths, id: u64, rank: i32, c: &[i64], f: &[f64]| {
+            t.push_row(counter_row(id, rank, path_of(paths, id), c, f))
+        };
+        self.push("POSIX", posix_columns, &log.posix, |t, paths, r| {
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
+        })?;
+        self.push("MPIIO", mpiio_columns, &log.mpiio, |t, paths, r| {
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
+        })?;
+        self.push("STDIO", stdio_columns, &log.stdio, |t, paths, r| {
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
+        })?;
+        self.push("LUSTRE", lustre_columns, &log.lustre, |t, paths, r| {
+            t.push_row(lustre_row(r, path_of(paths, r.file_id)))
+        })?;
+        self.push(
+            "HEATMAP",
+            || HEATMAP_COLUMNS.to_vec(),
+            &log.heatmap,
+            |t, _, r| {
+                for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
+                    t.push_row(heatmap_row(r, bin, *rd, *wr))?;
+                }
+                Ok(())
+            },
+        )?;
+        self.push(
+            "DXT",
+            || DXT_COLUMNS.to_vec(),
+            &log.dxt,
+            |t, paths, r| {
+                let path = path_of(paths, r.file_id);
+                for (seg_no, (kind, s)) in r.iter().enumerate() {
+                    t.push_row(dxt_row(r, path, seg_no, kind, s))?;
+                }
+                Ok(())
+            },
+        )?;
+        // Parameter derivation reads only the first Lustre record.
+        if self.first_lustre.is_none() {
+            self.first_lustre = log.lustre.first().cloned();
+        }
+        Ok(())
+    }
+
+    /// Push the rows of `records` into table `name`, creating it with
+    /// `columns()` on the first record.
+    fn push<R>(
+        &mut self,
+        name: &'static str,
+        columns: fn() -> Vec<&'static str>,
+        records: &[R],
+        mut rows: impl FnMut(&mut S, &Paths, &R) -> Result<(), S::Error>,
+    ) -> Result<(), S::Error> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let i = match self.tables.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                self.tables.push((name, (self.new_table)(name, &columns())));
+                self.tables.len() - 1
+            }
+        };
+        let table = &mut self.tables[i].1;
+        for r in records {
+            rows(table, &self.paths, r)?;
+        }
+        Ok(())
+    }
+
+    /// The finished tables (counted under `extract.rows.<name>`) and the
+    /// first Lustre record folded.
+    pub(crate) fn finish(self) -> Result<(TableSet, Option<LustreRecord>), S::Error> {
+        let mut set = TableSet::default();
+        for (_, table) in self.tables {
+            set.insert(table.into_table()?);
+        }
+        if ion_obs::enabled() {
+            for (name, table) in set.iter() {
+                ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
+            }
+        }
+        Ok((set, self.first_lustre))
+    }
+}
+
 /// Extract every module of `log` into CSV-shaped tables.
 ///
 /// Only modules that actually collected records appear in the result —
 /// ION's module mapping later uses absence (e.g. no `MPIIO` table) as a
-/// signal in itself.
+/// signal in itself. The tables are dense: no chunks are sealed or
+/// compressed.
 #[must_use]
 pub fn extract_tables(log: &Log) -> TableSet {
     let mut span = ion_obs::span!("extract");
-    // Counted (not just spanned) so cache layers can prove "zero
-    // extractions happened" from a metrics snapshot alone.
-    ion_obs::counter("extract.runs", 1);
-    let mut set = TableSet::default();
-
-    if !log.posix.is_empty() {
-        let mut t = Table::new("POSIX", &posix_columns());
-        for r in &log.posix {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.mpiio.is_empty() {
-        let mut t = Table::new("MPIIO", &mpiio_columns());
-        for r in &log.mpiio {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.stdio.is_empty() {
-        let mut t = Table::new("STDIO", &stdio_columns());
-        for r in &log.stdio {
-            t.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                log.path_for(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ));
-        }
-        set.insert(t);
-    }
-
-    if !log.lustre.is_empty() {
-        let mut t = Table::new("LUSTRE", &lustre_columns());
-        for r in &log.lustre {
-            t.push_row(lustre_row(r, log.path_for(r.file_id)));
-        }
-        set.insert(t);
-    }
-
-    if !log.heatmap.is_empty() {
-        let mut t = Table::new("HEATMAP", &HEATMAP_COLUMNS);
-        for r in &log.heatmap {
-            for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
-                t.push_row(heatmap_row(r, bin, *rd, *wr));
-            }
-        }
-        set.insert(t);
-    }
-
-    if !log.dxt.is_empty() {
-        let mut t = Table::new("DXT", &DXT_COLUMNS);
-        for r in &log.dxt {
-            let path = log.path_for(r.file_id);
-            for (seg_no, (kind, s)) in r.iter().enumerate() {
-                t.push_row(dxt_row(r, path, seg_no, kind, s));
-            }
-        }
-        set.insert(t);
-    }
-
+    let mut tables = ModuleTables::new(Table::new);
+    let Ok(()) = tables.fold(log);
+    let Ok((set, _)) = tables.finish();
     span.attr("tables", set.len());
-    if ion_obs::enabled() {
-        for (name, table) in set.iter() {
-            ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
-        }
-    }
     set
 }
 

@@ -2,13 +2,15 @@
 //! a time.
 //!
 //! [`extract_stream`] drives a [`StreamDecoder`] over any [`Read`]
-//! source and folds each decoded region straight into per-module
-//! [`ChunkedTableBuilder`]s, so the full record vectors of a large log
-//! (most importantly DXT traces) never exist in memory at once. The
-//! resulting [`TableSet`] is cell-for-cell identical to
-//! [`extract_tables`](crate::extract::extract_tables) over the eagerly
-//! decoded log — row builders are shared between the two paths — which
-//! keeps `ion-store` content digests byte-stable across ingest modes.
+//! source and feeds each decoded region to the same module → table fold
+//! that [`extract_tables`](crate::extract::extract_tables) runs over a
+//! whole log, with [`ChunkedTableBuilder`]s as the tables. The full
+//! record vectors of a large log (most importantly DXT traces) never
+//! exist in memory at once. The resulting [`TableSet`] is cell-for-cell
+//! identical to the batch extractor's over the eagerly decoded log,
+//! which keeps `ion-store` content digests byte-stable across ingest
+//! modes. That relies on the name table arriving before any module
+//! region; the decoder rejects logs where it does not.
 //!
 //! Alongside the tables the extractor returns a *skeleton* [`Log`]:
 //! the job record, the name table, and the first Lustre record. That is
@@ -16,14 +18,10 @@
 //! can derive analysis parameters without a full decode.
 
 use crate::chunked::{ChunkPager, ChunkedTableBuilder};
-use crate::extract::{
-    counter_row, dxt_row, heatmap_row, lustre_columns, lustre_row, mpiio_columns, posix_columns,
-    stdio_columns, TableSet, DXT_COLUMNS, HEATMAP_COLUMNS,
-};
+use crate::extract::{ModuleTables, TableSet};
 use darshan::log::{Log, StreamDecoder};
 use darshan::records::JobRecord;
 use darshan::DarshanError;
-use std::collections::HashMap;
 use std::io::{self, Read};
 use std::sync::Arc;
 
@@ -86,38 +84,13 @@ pub struct StreamExtracted {
     pub bytes_read: u64,
 }
 
-/// Per-module chunked builders, created lazily so absent modules yield
-/// absent tables (module absence is a signal downstream).
-#[derive(Default)]
-struct Builders {
-    posix: Option<ChunkedTableBuilder>,
-    mpiio: Option<ChunkedTableBuilder>,
-    stdio: Option<ChunkedTableBuilder>,
-    lustre: Option<ChunkedTableBuilder>,
-    dxt: Option<ChunkedTableBuilder>,
-    heatmap: Option<ChunkedTableBuilder>,
-}
-
-fn builder<'a>(
-    slot: &'a mut Option<ChunkedTableBuilder>,
-    name: &str,
-    columns: &[&str],
-    chunk_rows: usize,
-    pager: Option<&Arc<dyn ChunkPager>>,
-) -> &'a mut ChunkedTableBuilder {
-    slot.get_or_insert_with(|| match pager {
-        Some(p) => ChunkedTableBuilder::with_pager(name, columns, chunk_rows, Arc::clone(p)),
-        None => ChunkedTableBuilder::new(name, columns, chunk_rows),
-    })
-}
-
 /// Extract every module of a serialized log into tables without ever
 /// materializing the full record vectors.
 ///
 /// `chunk_rows` bounds the rows held uncompressed per table; sealed
 /// chunks are compressed in place, and spill through `pager` when one
 /// is provided. Decoding is strict, like `LogReader::read`: the first
-/// framing, checksum, or record error aborts the extraction.
+/// framing, checksum, ordering or record error aborts the extraction.
 ///
 /// # Errors
 ///
@@ -130,121 +103,21 @@ pub fn extract_stream<R: Read>(
     pager: Option<Arc<dyn ChunkPager>>,
 ) -> Result<StreamExtracted, StreamExtractError> {
     let mut span = ion_obs::span!("extract.stream");
-    ion_obs::counter("extract.runs", 1);
+    let mut tables = ModuleTables::new(|name: &str, columns: &[&str]| match &pager {
+        Some(p) => ChunkedTableBuilder::with_pager(name, columns, chunk_rows, Arc::clone(p)),
+        None => ChunkedTableBuilder::new(name, columns, chunk_rows),
+    });
 
     let mut decoder = StreamDecoder::new(src)?;
     let mut skeleton = Log::new(JobRecord::new(0, 0, 0));
-    let mut scratch = Log::new(JobRecord::new(0, 0, 0));
-    // Insert-if-absent mirrors `Log::path_for`'s first-match semantics.
-    let mut name_index: HashMap<u64, usize> = HashMap::new();
-    let mut builders = Builders::default();
+    // Holds one decoded region at a time; the job record carries over.
+    let mut region_log = Log::new(JobRecord::new(0, 0, 0));
     let mut saw_job = false;
-
     while let Some(region) = decoder.next_region()? {
-        let is_job = region.decode_into(&mut scratch)?;
-        if is_job {
-            skeleton.job = scratch.job.clone();
-            saw_job = true;
-            continue;
-        }
-        for n in scratch.names.drain(..) {
-            name_index.entry(n.id).or_insert(skeleton.names.len());
-            skeleton.names.push(n);
-        }
-        let path_of = |id: u64| -> Option<&str> {
-            name_index
-                .get(&id)
-                .map(|&i| skeleton.names[i].path.as_str())
-        };
-        for r in scratch.posix.drain(..) {
-            let b = builder(
-                &mut builders.posix,
-                "POSIX",
-                &posix_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.mpiio.drain(..) {
-            let b = builder(
-                &mut builders.mpiio,
-                "MPIIO",
-                &mpiio_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.stdio.drain(..) {
-            let b = builder(
-                &mut builders.stdio,
-                "STDIO",
-                &stdio_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(counter_row(
-                r.file_id,
-                r.rank,
-                path_of(r.file_id),
-                &r.counters,
-                &r.fcounters,
-            ))?;
-        }
-        for r in scratch.lustre.drain(..) {
-            let b = builder(
-                &mut builders.lustre,
-                "LUSTRE",
-                &lustre_columns(),
-                chunk_rows,
-                pager.as_ref(),
-            );
-            b.push_row(lustre_row(&r, path_of(r.file_id)))?;
-            // Parameter derivation reads only the first Lustre record.
-            if skeleton.lustre.is_empty() {
-                skeleton.lustre.push(r);
-            }
-        }
-        for r in scratch.dxt.drain(..) {
-            let b = builder(
-                &mut builders.dxt,
-                "DXT",
-                &DXT_COLUMNS,
-                chunk_rows,
-                pager.as_ref(),
-            );
-            let path = name_index
-                .get(&r.file_id)
-                .map(|&i| skeleton.names[i].path.as_str());
-            for (seg_no, (kind, s)) in r.iter().enumerate() {
-                b.push_row(dxt_row(&r, path, seg_no, kind, s))?;
-            }
-        }
-        for r in scratch.heatmap.drain(..) {
-            let b = builder(
-                &mut builders.heatmap,
-                "HEATMAP",
-                &HEATMAP_COLUMNS,
-                chunk_rows,
-                pager.as_ref(),
-            );
-            for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
-                b.push_row(heatmap_row(&r, bin, *rd, *wr))?;
-            }
-        }
+        saw_job |= region.decode_into(&mut region_log)?;
+        tables.fold(&region_log)?;
+        skeleton.names.append(&mut region_log.names);
+        region_log = Log::new(region_log.job);
     }
     if !saw_job {
         return Err(DarshanError::UnexpectedEof {
@@ -252,33 +125,14 @@ pub fn extract_stream<R: Read>(
         }
         .into());
     }
+    skeleton.job = region_log.job;
 
-    let mut tables = TableSet::default();
-    let mut rows = 0u64;
-    for b in [
-        builders.posix,
-        builders.mpiio,
-        builders.stdio,
-        builders.lustre,
-        builders.heatmap,
-        builders.dxt,
-    ]
-    .into_iter()
-    .flatten()
-    {
-        let t = b.finish()?;
-        rows += t.len() as u64;
-        tables.insert(t);
-    }
+    let (tables, first_lustre) = tables.finish()?;
+    skeleton.lustre.extend(first_lustre);
+    let rows = tables.iter().map(|(_, t)| t.len() as u64).sum();
     let bytes_read = decoder.bytes_read() as u64;
-
     span.attr("tables", tables.len());
     span.attr("rows", rows);
-    if ion_obs::enabled() {
-        for (name, table) in tables.iter() {
-            ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
-        }
-    }
     Ok(StreamExtracted {
         tables,
         skeleton,
@@ -294,7 +148,7 @@ mod tests {
     use darshan::accum::PosixAccumulator;
     use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
     use darshan::heatmap::HeatmapAccumulator;
-    use darshan::log::LogWriter;
+    use darshan::log::{LogReader, LogWriter, StreamWriter};
     use darshan::record_id;
     use darshan::records::{JobRecord, LustreRecord};
 
@@ -355,6 +209,34 @@ mod tests {
         // Module vectors stay empty (except the single Lustre record).
         assert!(s.skeleton.posix.is_empty());
         assert!(s.skeleton.dxt.is_empty());
+    }
+
+    #[test]
+    fn names_after_a_module_region_are_rejected_by_both_paths() {
+        // A CRC-valid log whose name table follows its DXT region: a
+        // streaming fold cannot resolve the DXT paths when the records
+        // arrive, so both extractors must refuse the log alike.
+        let log = sample_log();
+        let mut w = StreamWriter::new(Vec::new(), &log.job).unwrap();
+        w.write_dxt(&log.dxt).unwrap();
+        w.write_names(&log.names).unwrap();
+        let bytes = w.finish().unwrap();
+
+        let batch = LogReader::read(&bytes).map(|log| extract_tables(&log));
+        let streamed = extract_stream(&bytes[..], 7, None).map(|s| s.tables);
+        let file_name = |t: &TableSet| t.get("DXT").unwrap().cell(0, "file_name");
+        match (batch, streamed) {
+            (Err(b), Err(StreamExtractError::Decode(s))) => {
+                assert_eq!(b, s);
+                assert!(matches!(b, DarshanError::NamesAfterModule { .. }), "{b:?}");
+            }
+            (Ok(b), Ok(s)) => panic!(
+                "late names accepted: batch file_name {:?}, streamed {:?}",
+                file_name(&b),
+                file_name(&s)
+            ),
+            (b, s) => panic!("paths disagree: batch {b:?}, streamed {s:?}"),
+        }
     }
 
     #[test]
