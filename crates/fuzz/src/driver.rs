@@ -9,7 +9,8 @@
 
 use darshan::log::{Log, LogReader, StreamDecoder};
 use darshan::records::JobRecord;
-use extractor::{extract_stream, extract_tables};
+use extractor::csv::to_csv;
+use extractor::{extract_stream, extract_tables, TableSet};
 use ion::IonPipeline;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -19,7 +20,9 @@ pub enum Stage {
     /// Strict decode: `LogReader::read`.
     Decode,
     /// Streaming decode: `extractor::extract_stream` plus a lazy
-    /// region walk over `darshan::StreamDecoder`.
+    /// region walk over `darshan::StreamDecoder`; when strict decode
+    /// accepted the bytes, the streamed tables must equal the batch
+    /// extractor's.
     Stream,
     /// Lenient decode: `LogReader::read_lenient` (valid-prefix recovery).
     LenientDecode,
@@ -91,14 +94,6 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    /// True when this verdict violates the total-robustness contract.
-    #[must_use]
-    pub fn is_crash(&self) -> bool {
-        matches!(self, Verdict::Crashed { .. })
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -134,37 +129,55 @@ pub fn drive(bytes: &[u8]) -> Verdict {
 /// inspecting each frame — corruption in a block the walk never
 /// CRC-checks must surface as a typed error downstream or not at all,
 /// never as a panic. When the strict batch decoder accepted the bytes,
-/// the streaming extractor must accept them too (same CRC coverage).
-fn stream_check(bytes: &[u8], strict_ok: bool) {
+/// the streaming extractor must accept them too (same CRC coverage),
+/// and its tables are returned for comparison with the batch tables.
+fn stream_check(bytes: &[u8], strict_ok: bool) -> Option<TableSet> {
     let streamed = extract_stream(bytes, 61, None);
-    if strict_ok {
+    if let Ok(mut decoder) = StreamDecoder::new(bytes) {
+        let mut scratch = Log::new(JobRecord::new(0, 0, 0));
+        let mut i = 0_usize;
+        while let Ok(Some(region)) = decoder.next_region() {
+            match i % 3 {
+                0 => drop(region.verify()),
+                1 => drop(region.decode_into(&mut scratch)),
+                _ => {
+                    let _ = (region.name(), region.payload_len());
+                }
+            }
+            i += 1;
+        }
+        let _ = decoder.bytes_read();
+    }
+    match streamed {
+        Ok(s) if strict_ok => Some(s.tables),
+        Err(e) if strict_ok => {
+            panic!("strict decode accepted these bytes but streaming extract errored: {e}")
+        }
+        _ => None,
+    }
+}
+
+/// The streaming and batch extractors must produce the same tables for
+/// the same bytes. Cells are compared rendered, as CSV: `NaN` cells
+/// never compare equal as values.
+fn same_tables(batch: &TableSet, streamed: &TableSet) {
+    assert_eq!(
+        batch.names(),
+        streamed.names(),
+        "streaming extract produced different tables than batch extract"
+    );
+    for (name, table) in batch.iter() {
+        let other = streamed.get(name).expect("same table names");
         assert!(
-            streamed.is_ok(),
-            "strict decode accepted these bytes but streaming extract errored: {:?}",
-            streamed.err().map(|e| e.to_string())
+            to_csv(table) == to_csv(other),
+            "streaming extract differs from batch extract in table {name}"
         );
     }
-    let Ok(mut decoder) = StreamDecoder::new(bytes) else {
-        return;
-    };
-    let mut scratch = Log::new(JobRecord::new(0, 0, 0));
-    let mut i = 0_usize;
-    while let Ok(Some(region)) = decoder.next_region() {
-        match i % 3 {
-            0 => drop(region.verify()),
-            1 => drop(region.decode_into(&mut scratch)),
-            _ => {
-                let _ = (region.name(), region.payload_len());
-            }
-        }
-        i += 1;
-    }
-    let _ = decoder.bytes_read();
 }
 
 fn drive_inner(bytes: &[u8]) -> Result<Verdict, Verdict> {
     let strict = trap(Stage::Decode, || LogReader::read(bytes))?;
-    trap(Stage::Stream, || stream_check(bytes, strict.is_ok()))?;
+    let streamed = trap(Stage::Stream, || stream_check(bytes, strict.is_ok()))?;
     let (log, recovered) = match strict {
         Ok(log) => (log, false),
         Err(strict_err) => {
@@ -185,6 +198,9 @@ fn drive_inner(bytes: &[u8]) -> Result<Verdict, Verdict> {
     let (tables, params) = trap(Stage::Extract, || {
         (extract_tables(&log), pipeline.params_for(&log))
     })?;
+    if let Some(streamed) = streamed {
+        trap(Stage::Stream, || same_tables(&tables, &streamed))?;
+    }
     let report = trap(Stage::Analyze, || pipeline.run_tables(&tables, &params))?;
 
     let failed_diagnoses = report
