@@ -1,7 +1,7 @@
 //! Shared helpers for the ION experiment binaries and Criterion benches.
 
 use workloads::ior::{
-    ior_easy_1mb_fpp, ior_easy_1mb_shared, ior_easy_2kb_shared, ior_hard, ior_rnd4k, IorWorkload,
+    ior_easy_1mb_fpp, ior_easy_1mb_shared, ior_easy_2kb_shared, ior_hard, ior_rnd4k,
 };
 use workloads::mdworkbench::MdWorkbench;
 use workloads::Workload;
@@ -30,12 +30,6 @@ pub fn fig2_workloads(scale: f64) -> Vec<Box<dyn Workload>> {
         Box::new(ior_rnd4k(scale / 2.0)),
         Box::new(MdWorkbench::scaled(scale * 5.0)),
     ]
-}
-
-/// A small, fast IOR workload used by benches.
-#[must_use]
-pub fn bench_workload() -> IorWorkload {
-    ior_easy_2kb_shared(0.05)
 }
 
 /// Truncate a string to one display line of at most `width` chars.

@@ -295,14 +295,6 @@ impl PosixAccumulator {
             .fadd(PosixFCounter::POSIX_F_META_TIME, (end - start).max(0.0));
     }
 
-    /// Total read + write operations recorded so far.
-    #[must_use]
-    pub fn op_count(&self) -> i64 {
-        self.record
-            .get(PosixCounter::POSIX_READS)
-            .saturating_add(self.record.get(PosixCounter::POSIX_WRITES))
-    }
-
     /// Finalize the record: fill in top-4 access sizes / strides and max
     /// operation times.
     #[must_use]

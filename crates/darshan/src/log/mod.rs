@@ -123,17 +123,6 @@ impl Log {
         }
         out
     }
-
-    /// Total number of module records (excluding names/job).
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.posix.len()
-            + self.mpiio.len()
-            + self.stdio.len()
-            + self.lustre.len()
-            + self.dxt.len()
-            + self.heatmap.len()
-    }
 }
 
 #[cfg(test)]

@@ -223,7 +223,6 @@ pub struct Batch {
     width: usize,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
-    trace: Option<ion_obs::TraceContext>,
 }
 
 impl Batch {
@@ -252,16 +251,6 @@ impl Batch {
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Batch {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Attribute every task to `trace` explicitly. Without this, the
-    /// calling thread's installed trace (if any) is captured at
-    /// `map_ordered` time and propagated onto the workers, so spans and
-    /// events from worker threads land in the submitting request's tree.
-    #[must_use]
-    pub fn with_trace(mut self, trace: ion_obs::TraceContext) -> Batch {
-        self.trace = Some(trace);
         self
     }
 
@@ -306,7 +295,7 @@ impl Batch {
         let instrument = ion_obs::enabled();
         // Capture the request trace once on the submitting thread; each
         // worker installs it so spans/events attribute to the request.
-        let trace = self.trace.or_else(ion_obs::current_trace);
+        let trace = ion_obs::current_trace();
         if instrument {
             ion_obs::gauge("exec.width", width as f64);
             ion_obs::gauge("exec.queue_depth", items.len() as f64);

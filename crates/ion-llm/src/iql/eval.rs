@@ -7,7 +7,6 @@ use super::exec;
 use super::plan::{lower, Plan};
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
-use std::collections::BTreeMap;
 
 /// Result of running one IQL program.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -31,12 +30,6 @@ impl RunOutput {
     #[must_use]
     pub fn get_f64(&self, name: &str) -> Option<f64> {
         self.get(name).and_then(Value::as_f64)
-    }
-
-    /// Emitted scalars as a map.
-    #[must_use]
-    pub fn emitted_map(&self) -> BTreeMap<String, Value> {
-        self.emitted.iter().cloned().collect()
     }
 }
 

@@ -75,7 +75,6 @@ impl IonReport {
 /// The end-to-end ION pipeline (Figure 1): Extractor then Analyzer.
 #[derive(Debug, Default)]
 pub struct IonPipeline {
-    params_override: Option<SystemParams>,
     retrieval_k: Option<usize>,
     contexts_override: Option<Vec<crate::context::IssueContext>>,
     exec: ion_exec::Batch,
@@ -86,7 +85,6 @@ impl IonPipeline {
     #[must_use]
     pub fn new() -> Self {
         IonPipeline {
-            params_override: None,
             retrieval_k: None,
             contexts_override: None,
             exec: ion_exec::Batch::new(),
@@ -98,13 +96,6 @@ impl IonPipeline {
     #[must_use]
     pub fn with_exec(mut self, exec: ion_exec::Batch) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Force specific system parameters instead of deriving them.
-    #[must_use]
-    pub fn with_params(mut self, params: SystemParams) -> Self {
-        self.params_override = Some(params);
         self
     }
 
@@ -151,20 +142,11 @@ impl IonPipeline {
         self.run_tables(&tables, &params)
     }
 
-    /// The system parameters this pipeline would analyze `log` with:
-    /// the override if one was forced, otherwise derived from the log.
+    /// The system parameters this pipeline would analyze `log` with,
+    /// derived from the log.
     #[must_use]
     pub fn params_for(&self, log: &Log) -> SystemParams {
-        self.params_override
-            .unwrap_or_else(|| SystemParams::from_log(log))
-    }
-
-    /// The forced system parameters, if any. Incremental drivers need
-    /// this distinction: derived parameters travel with the cached
-    /// extraction artifact, while an override applies unconditionally.
-    #[must_use]
-    pub fn params_override(&self) -> Option<SystemParams> {
-        self.params_override
+        SystemParams::from_log(log)
     }
 
     /// Whether retrieval-based context selection is configured.

@@ -21,8 +21,6 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// Default striping for newly created files.
     pub layout: StripeLayout,
-    /// Whether DXT per-op tracing is enabled.
-    pub dxt_enabled: bool,
     /// User id recorded in the job header.
     pub uid: u32,
     /// Job id recorded in the job header.
@@ -39,7 +37,6 @@ impl Default for SimConfig {
             topology: Topology::default(),
             cost: CostModel::default(),
             layout: StripeLayout::default(),
-            dxt_enabled: true,
             uid: 1000,
             job_id: 1,
             exe: String::from("a.out"),
@@ -56,13 +53,6 @@ impl SimConfig {
         self
     }
 
-    /// Set the number of OSTs.
-    #[must_use]
-    pub fn with_osts(mut self, osts: u32) -> Self {
-        self.topology.ost_count = osts;
-        self
-    }
-
     /// Set the default stripe layout.
     #[must_use]
     pub fn with_layout(mut self, layout: StripeLayout) -> Self {
@@ -70,24 +60,10 @@ impl SimConfig {
         self
     }
 
-    /// Set the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Set the recorded executable line.
     #[must_use]
     pub fn with_exe(mut self, exe: &str) -> Self {
         self.exe = exe.to_owned();
-        self
-    }
-
-    /// Enable or disable DXT tracing.
-    #[must_use]
-    pub fn with_dxt(mut self, enabled: bool) -> Self {
-        self.dxt_enabled = enabled;
         self
     }
 }
@@ -123,7 +99,7 @@ impl Simulation {
             file_alignment: config.layout.stripe_size,
             mem_alignment: 8,
         };
-        let mut shim = DarshanShim::new(alignment, config.dxt_enabled);
+        let mut shim = DarshanShim::new(alignment);
         for rank in 0..config.topology.nprocs {
             shim.register_host(rank as i32, &config.topology.hostname_of(rank));
         }
@@ -142,12 +118,6 @@ impl Simulation {
             ops: 0,
             started: std::time::Instant::now(),
         }
-    }
-
-    /// Simulated operations issued so far.
-    #[must_use]
-    pub fn ops_issued(&self) -> u64 {
-        self.ops
     }
 
     /// The configuration in force.

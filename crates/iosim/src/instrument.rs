@@ -18,7 +18,6 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct DarshanShim {
     alignment: AlignmentSpec,
-    dxt_enabled: bool,
     names: HashMap<u64, String>,
     posix: HashMap<(u64, i32), PosixAccumulator>,
     mpiio: HashMap<(u64, i32), MpiioAccumulator>,
@@ -31,13 +30,12 @@ pub struct DarshanShim {
 
 impl DarshanShim {
     /// Create a shim. `alignment` sets the `*_FILE_ALIGNMENT` counters and
-    /// classification; `dxt_enabled` controls whether per-op traces are kept
-    /// (Darshan's `DXT_ENABLE_IO_TRACE`).
+    /// classification. Per-op DXT traces are always kept (Darshan's
+    /// `DXT_ENABLE_IO_TRACE` set).
     #[must_use]
-    pub fn new(alignment: AlignmentSpec, dxt_enabled: bool) -> Self {
+    pub fn new(alignment: AlignmentSpec) -> Self {
         DarshanShim {
             alignment,
-            dxt_enabled,
             names: HashMap::new(),
             posix: HashMap::new(),
             mpiio: HashMap::new(),
@@ -230,11 +228,6 @@ impl DarshanShim {
         );
     }
 
-    /// Record an `MPI_File_set_view`.
-    pub fn mpiio_set_view(&mut self, file: u64, rank: i32) {
-        self.mpiio_acc(file, rank).set_view();
-    }
-
     /// Record a STDIO open.
     pub fn stdio_open(&mut self, file: u64, rank: i32, start: f64, end: f64) {
         self.stdio_acc(file, rank).open(start, end);
@@ -295,9 +288,6 @@ impl DarshanShim {
         start: f64,
         end: f64,
     ) {
-        if !self.dxt_enabled {
-            return;
-        }
         let hostname = self
             .hostnames
             .get(&rank)
@@ -393,7 +383,7 @@ mod tests {
 
     #[test]
     fn shim_collects_posix_and_dxt() {
-        let mut shim = DarshanShim::new(AlignmentSpec::default(), true);
+        let mut shim = DarshanShim::new(AlignmentSpec::default());
         let f = shim.register("/data/a");
         shim.register_host(0, "nid00000");
         shim.posix_open(f, 0, 0.0, 0.001);
@@ -408,18 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn dxt_disabled_suppresses_traces() {
-        let mut shim = DarshanShim::new(AlignmentSpec::default(), false);
-        let f = shim.register("/data/a");
-        shim.posix_write(f, 0, 0, 4096, 0.0, 0.1, true);
-        let log = shim.finish(JobRecord::new(1, 2, 1));
-        assert_eq!(log.posix.len(), 1);
-        assert!(log.dxt.is_empty());
-    }
-
-    #[test]
     fn records_keyed_per_rank() {
-        let mut shim = DarshanShim::new(AlignmentSpec::default(), false);
+        let mut shim = DarshanShim::new(AlignmentSpec::default());
         let f = shim.register("/data/a");
         for rank in 0..4 {
             shim.posix_write(f, rank, 0, 10, 0.0, 0.1, true);
@@ -433,7 +413,7 @@ mod tests {
 
     #[test]
     fn lustre_record_captured_once() {
-        let mut shim = DarshanShim::new(AlignmentSpec::default(), false);
+        let mut shim = DarshanShim::new(AlignmentSpec::default());
         let f = shim.register("/data/a");
         shim.record_lustre(f, 1 << 20, vec![0, 1]);
         shim.record_lustre(f, 2 << 20, vec![5]); // ignored: already captured
@@ -444,7 +424,7 @@ mod tests {
 
     #[test]
     fn active_modules_tracks_usage() {
-        let mut shim = DarshanShim::new(AlignmentSpec::default(), true);
+        let mut shim = DarshanShim::new(AlignmentSpec::default());
         let f = shim.register("/a");
         shim.mpiio_write(f, 0, 0, 100, true, 0.0, 0.1);
         let mods = shim.active_modules();

@@ -170,12 +170,6 @@ impl FileSystem {
         &self.osts
     }
 
-    /// Look a file up by path.
-    #[must_use]
-    pub fn file_by_path(&self, path: &str) -> Option<&SimFile> {
-        self.by_path.get(path).and_then(|k| self.files.get(k))
-    }
-
     /// Look a file up by key.
     #[must_use]
     pub fn file(&self, handle: FileHandle) -> Option<&SimFile> {
@@ -219,21 +213,6 @@ impl FileSystem {
         self.by_path.insert(path.to_owned(), key);
         let end = self.mds.service(MetaOp::Create, t, self.cost.meta_latency);
         Ok((FileHandle(key), end))
-    }
-
-    /// Open with an explicit layout (ignored when the file already exists).
-    pub fn open_with_layout(
-        &mut self,
-        path: &str,
-        rank: u32,
-        t: f64,
-        layout: StripeLayout,
-    ) -> Result<(FileHandle, f64), SimError> {
-        let prev = self.default_layout;
-        self.default_layout = layout;
-        let r = self.open(path, rank, t, true);
-        self.default_layout = prev;
-        r
     }
 
     /// `stat` a path at time `t`.

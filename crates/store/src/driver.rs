@@ -227,7 +227,7 @@ enum Verdict {
 
 /// The store-backed ION pipeline.
 ///
-/// Configuration (parameter overrides, retrieval) is carried by an inner
+/// Configuration (contexts, retrieval) is carried by an inner
 /// [`IonPipeline`], so a stored run analyzes exactly what the plain
 /// pipeline would — the store only decides what *not* to recompute.
 pub struct StoredPipeline<'m> {
@@ -261,7 +261,7 @@ impl StoredPipeline<'static> {
 }
 
 impl<'m> StoredPipeline<'m> {
-    /// Replace the pipeline configuration (parameters, retrieval).
+    /// Replace the pipeline configuration (contexts, retrieval).
     #[must_use]
     pub fn with_pipeline(mut self, pipeline: IonPipeline) -> Self {
         self.pipeline = pipeline;
@@ -358,7 +358,7 @@ impl<'m> StoredPipeline<'m> {
             }))
         })?;
         let meta = decode_trace_meta(&meta_artifact)?;
-        let params = self.pipeline.params_override().unwrap_or(meta.params);
+        let params = meta.params;
 
         let lazy = LazyTables {
             store: &self.store,
