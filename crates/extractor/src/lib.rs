@@ -14,11 +14,13 @@
 //!   [`Value`]) that both the CSV layer and the IQL interpreter share.
 //! * [`schema`] — prose descriptions of every column, used verbatim in ION
 //!   prompts ("a description of the columns in the associated CSV files").
-//! * [`extract`] — the extractor itself: [`extract::extract_tables`].
+//! * [`extract`] — the extractor itself: [`extract::extract_tables`],
+//!   and the one module → table fold both extraction paths run.
 //! * [`chunked`] — out-of-core table building: fixed-row chunks,
 //!   compressed column encodings, and the spill pager contract.
-//! * [`stream`] — streaming extraction ([`stream::extract_stream`])
-//!   that folds a lazily decoded log straight into chunked tables.
+//! * [`stream`] — streaming extraction ([`stream::extract_stream`]):
+//!   the same fold, fed one decoded region at a time into chunked
+//!   tables.
 //! * [`stats`] — descriptive statistics over table columns.
 //!
 //! # Example
