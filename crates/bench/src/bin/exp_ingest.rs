@@ -4,7 +4,6 @@
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_ingest
 //! cargo run --release -p ion-bench --bin exp_ingest -- --quick
-//! cargo run --release -p ion-bench --bin exp_ingest -- --bench-out BENCH_ingest.json
 //! cargo run --release -p ion-bench --bin exp_ingest -- --segments 200000000 --spill-dir /tmp/spill
 //! ```
 //!
@@ -26,12 +25,11 @@
 //! materialize over those dense columns — >20 GB end to end, where the
 //! streaming path peaks under 6 GB (the one honest dense column, the
 //! per-record segment ordinal, accounts for 0.8 GB; analysis-stage
-//! materializations for the rest). Throughput lands in the snapshot as
-//! `ingest.bench.rows_per_sec`.
+//! materializations for the rest). Extract throughput is printed in
+//! rows/s.
 //!
 //! `--quick` shrinks the trace to 1 M segments (and the budget to
-//! 512 MB) for CI smoke; `--bench-out <path>` writes the `ion-obs/1`
-//! snapshot consumed by `ion_cli obs diff`.
+//! 512 MB) for CI smoke.
 
 use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
 use darshan::log::StreamWriter;
@@ -193,11 +191,10 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
+#[allow(clippy::cast_precision_loss)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let bench_out = arg_value(&args, "--bench-out");
     let spill_dir = arg_value(&args, "--spill-dir");
     let segments: u64 = arg_value(&args, "--segments")
         .map(|s| s.parse().expect("--segments takes an integer"))
@@ -205,6 +202,8 @@ fn main() {
     let rss_budget_mb: u64 = arg_value(&args, "--rss-budget-mb")
         .map(|s| s.parse().expect("--rss-budget-mb takes an integer"))
         .unwrap_or(if quick { 512 } else { 8192 });
+    // Record spans and metrics the way an observed run does, so the RSS
+    // ceiling covers the span store and registry too.
     ion_obs::enable();
 
     println!(
@@ -247,23 +246,6 @@ fn main() {
     println!(
         "peak RSS  {peak_mb:>12} MB  (extract phase {extract_peak_mb} MB, budget {rss_budget_mb} MB)"
     );
-
-    ion_obs::gauge("ingest.bench.rows_per_sec", rows_per_sec);
-    ion_obs::gauge("ingest.bench.extract_s", extract_s);
-    ion_obs::gauge("ingest.bench.analyze_s", analyze_s);
-    ion_obs::gauge("ingest.bench.peak_rss_mb", peak_mb as f64);
-    ion_obs::gauge("ingest.bench.extract_peak_rss_mb", extract_peak_mb as f64);
-    ion_obs::counter("ingest.bench.rows", extracted.rows);
-    ion_obs::counter("ingest.bench.bytes_read", extracted.bytes_read);
-
-    if let Some(path) = &bench_out {
-        let json = ion_obs::snapshot().to_json();
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote ingest trajectory to {path}");
-    }
 
     // Acceptance gates.
     let mut gate_ok = true;

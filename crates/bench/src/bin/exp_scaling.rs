@@ -3,121 +3,26 @@
 //!
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_scaling
-//! cargo run --release -p ion-bench --bin exp_scaling -- \
-//!     --bench-out BENCH_scaling.json
+//! cargo run --release -p ion-bench --bin exp_scaling -- --workers 1,2,4
 //! ```
 //!
 //! Not a paper figure; this quantifies the reproduction's own substrate so
 //! EXPERIMENTS.md can speak to feasibility at paper scale (the OpenPMD
-//! baseline has ~700k traced operations).
-//!
-//! `--bench-out <path>` records the run into an `ion-obs/1` snapshot (one
-//! `scaling.run` span per scale, stage histograms in nanoseconds) so the
-//! perf trajectory is machine-comparable across commits — `ion_cli obs
-//! diff` gates on exactly this document. `--quick` runs only the smallest
-//! scale (CI smoke).
+//! baseline has ~700k traced operations). `--quick` runs only the
+//! smallest scale.
 //!
 //! `--workers <w1,w2,...>` additionally sweeps the analyze stage across
-//! those `ion-exec` pool widths (gauges `scaling.analyze_ms.w<n>`).
-//!
-//! `--sched` runs the scheduler microbenchmark instead of the scaling
-//! table: skewed synthetic task durations dispatched through the old
-//! chunk-barrier pattern versus the `ion-exec` shared queue, at widths
-//! 1/2/4/8. The run *gates*: it exits non-zero unless the shared queue is
-//! at least 1.2x faster than the barrier at width 4 (`BENCH_sched.json`
-//! pins the trajectory; sleeps parallelize regardless of core count, so
-//! the gate is meaningful even on one-core CI runners).
+//! those `ion-exec` pool widths.
 
 use darshan::log::LogWriter;
 use ion::analyzer::SystemParams;
 use ion::pipeline::IonPipeline;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use workloads::openpmd::{OpenPmd, OpenPmdVariant};
 use workloads::Workload;
 
-/// The old dispatch shape `ion-exec` replaced: split into width-sized
-/// chunks, join every chunk before starting the next — the slowest task
-/// in each chunk gates all of it.
-fn barrier_dispatch(tasks: &[u64], width: usize) {
-    for chunk in tasks.chunks(width) {
-        std::thread::scope(|scope| {
-            for &ms in chunk {
-                scope.spawn(move || std::thread::sleep(Duration::from_millis(ms)));
-            }
-        });
-    }
-}
-
-/// Skewed durations: every fourth task is 10x the rest, the worst case
-/// for chunk barriers (one straggler per chunk).
-fn sched_tasks(quick: bool) -> Vec<u64> {
-    let (long, short) = if quick { (10, 1) } else { (40, 4) };
-    (0..16u64)
-        .map(|i| if i % 4 == 0 { long } else { short })
-        .collect()
-}
-
-fn run_sched(quick: bool, bench_out: Option<&str>) {
-    let tasks = sched_tasks(quick);
-    println!("═══ Scheduler: chunk-barrier vs ion-exec shared queue ═══\n");
-    println!(
-        "{:<8} {:>14} {:>14} {:>10}",
-        "width", "barrier (ms)", "shared (ms)", "speedup"
-    );
-    let mut speedup_at_4 = 0.0f64;
-    for width in [1usize, 2, 4, 8] {
-        let mut span = ion_obs::span!("sched.run");
-        span.attr("width", width);
-        let t0 = Instant::now();
-        barrier_dispatch(&tasks, width);
-        let barrier_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let out = ion_exec::Batch::new()
-            .with_width(width)
-            .map_ordered(&tasks, |&ms, _| {
-                std::thread::sleep(Duration::from_millis(ms));
-            });
-        let shared_ms = t1.elapsed().as_secs_f64() * 1e3;
-        assert!(out.iter().all(ion_exec::TaskOutcome::is_ok));
-        let speedup = barrier_ms / shared_ms;
-        if width == 4 {
-            speedup_at_4 = speedup;
-        }
-        ion_obs::gauge(&format!("sched.barrier_ms.w{width}"), barrier_ms);
-        ion_obs::gauge(&format!("sched.shared_ms.w{width}"), shared_ms);
-        ion_obs::gauge(&format!("sched.speedup.w{width}"), speedup);
-        println!("{width:<8} {barrier_ms:>14.1} {shared_ms:>14.1} {speedup:>9.2}x");
-    }
-    println!(
-        "\nthe shared queue starts the next task the moment a worker frees up;\n\
-         the barrier waits for the slowest task in every chunk."
-    );
-    if let Some(path) = bench_out {
-        let json = ion_obs::snapshot().to_json();
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote scheduler comparison to {path}");
-    }
-    if speedup_at_4 < 1.2 {
-        eprintln!(
-            "error: shared-queue speedup at width 4 is {speedup_at_4:.2}x, below the 1.2x gate"
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() -> Result<(), darshan::DarshanError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
-    if bench_out.as_deref() == Some("") {
-        eprintln!("error: --bench-out needs a <path>");
-        std::process::exit(1);
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let workers_sweep: Vec<usize> = match args.iter().position(|a| a == "--workers") {
         Some(i) => {
@@ -134,13 +39,6 @@ fn main() -> Result<(), darshan::DarshanError> {
         }
         None => Vec::new(),
     };
-    if bench_out.is_some() {
-        ion_obs::enable();
-    }
-    if args.iter().any(|a| a == "--sched") {
-        run_sched(quick, bench_out.as_deref());
-        return Ok(());
-    }
 
     println!("═══ Scaling: OpenPMD baseline vs rank count ═══\n");
     println!(
@@ -153,36 +51,25 @@ fn main() -> Result<(), darshan::DarshanError> {
         &[0.02, 0.05, 0.1, 0.2]
     };
     for &scale in scales {
-        let mut run_span = ion_obs::span!("scaling.run");
-        run_span.attr("scale", scale);
         let w = OpenPmd::scaled(OpenPmdVariant::Baseline, scale);
         let t0 = Instant::now();
         let log = w.generate();
         let gen_ms = t0.elapsed().as_secs_f64() * 1e3;
         let ops: usize = log.dxt.iter().map(darshan::dxt::DxtRecord::len).sum();
         let nprocs = log.job.nprocs;
-        run_span.attr("ranks", nprocs);
-        run_span.attr("ops", ops);
 
         let t1 = Instant::now();
-        let bytes = ion_obs::timed("scaling.encode_ns", || {
-            LogWriter::from_log(log.clone()).finish()
-        })?
-        .len();
+        let bytes = LogWriter::from_log(log.clone()).finish()?.len();
         let encode_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
-        let tables = ion_obs::timed("scaling.extract_ns", || extractor::extract_tables(&log));
+        let tables = extractor::extract_tables(&log);
         let extract_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         let t3 = Instant::now();
-        let report = ion_obs::timed("scaling.analyze_ns", || {
-            IonPipeline::new().run_tables(&tables, &SystemParams::from_log(&log))
-        });
+        let report = IonPipeline::new().run_tables(&tables, &SystemParams::from_log(&log));
         let ion_ms = t3.elapsed().as_secs_f64() * 1e3;
         assert!(!report.diagnoses.is_empty());
-        ion_obs::counter("scaling.traced_ops", ops as u64);
-        ion_obs::counter("scaling.log_bytes", bytes as u64);
 
         println!(
             "{nprocs:<8} {ops:>10} {bytes:>12} {gen_ms:>12.1} {encode_ms:>12.1} {extract_ms:>12.1} {ion_ms:>12.1}"
@@ -205,17 +92,8 @@ fn main() -> Result<(), darshan::DarshanError> {
                 .run_tables(&tables, &params);
             let ms = t.elapsed().as_secs_f64() * 1e3;
             assert!(!report.diagnoses.is_empty());
-            ion_obs::gauge(&format!("scaling.analyze_ms.w{w}"), ms);
             println!("{w:<8} {ms:>12.1}");
         }
-    }
-    if let Some(path) = bench_out {
-        let json = ion_obs::snapshot().to_json();
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote scaling trajectory to {path}");
     }
     Ok(())
 }

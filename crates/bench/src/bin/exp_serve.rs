@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_serve
-//! cargo run --release -p ion-bench --bin exp_serve -- --bench-out BENCH_serve.json
 //! cargo run --release -p ion-bench --bin exp_serve -- --quick
 //! ```
 //!
@@ -16,9 +15,7 @@
 //! Reports per-operation latency percentiles (p50/p95/p99) and overall
 //! job throughput, then enforces the acceptance gates: p99 submit
 //! latency, end-to-end job throughput, zero worker panics, and every
-//! job finishing `done`. `--bench-out <path>` records an `ion-obs/1`
-//! snapshot (daemon counters plus swarm latency histograms) for
-//! `ion_cli obs diff`; `--quick` shrinks the swarm for CI smoke.
+//! job finishing `done`. `--quick` shrinks the swarm for CI smoke.
 
 use darshan::log::LogWriter;
 use iosim::{SimConfig, Simulation};
@@ -67,12 +64,10 @@ struct Swarm {
     failures: Vec<String>,
 }
 
-fn timed<T>(bucket: &mut Vec<u64>, metric: &'static str, f: impl FnOnce() -> T) -> T {
+fn timed<T>(bucket: &mut Vec<u64>, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
-    let ns = t0.elapsed().as_nanos() as u64;
-    bucket.push(ns);
-    ion_obs::observe(metric, ns);
+    bucket.push(t0.elapsed().as_nanos() as u64);
     out
 }
 
@@ -92,7 +87,7 @@ fn client_run(addr: SocketAddr, tenant: &str, client: usize, jobs: usize, shared
             unique = trace_bytes(&format!("swarm-{tenant}-{client}-{round}"));
             &unique
         };
-        let submitted = timed(&mut local.submit.nanos, "serve.bench.submit_ns", || {
+        let submitted = timed(&mut local.submit.nanos, || {
             post(addr, "/v1/jobs", &header, trace)
         });
         let reply = match submitted {
@@ -118,7 +113,7 @@ fn client_run(addr: SocketAddr, tenant: &str, client: usize, jobs: usize, shared
         }
         let id = doc.get("job").unwrap().as_str().unwrap().to_owned();
 
-        let polled = timed(&mut local.poll.nanos, "serve.bench.poll_ns", || {
+        let polled = timed(&mut local.poll.nanos, || {
             get(addr, &format!("/v1/jobs/{id}?wait_ms=30000"))
         });
         let state = polled
@@ -133,7 +128,7 @@ fn client_run(addr: SocketAddr, tenant: &str, client: usize, jobs: usize, shared
         }
         local.jobs_done += 1;
 
-        let report = timed(&mut local.report.nanos, "serve.bench.report_ns", || {
+        let report = timed(&mut local.report.nanos, || {
             get(addr, &format!("/v1/jobs/{id}/report"))
         });
         match report {
@@ -146,7 +141,7 @@ fn client_run(addr: SocketAddr, tenant: &str, client: usize, jobs: usize, shared
             "what issues were detected?",
             "how severe is the worst issue?",
         ] {
-            let answered = timed(&mut local.qa.nanos, "serve.bench.qa_ns", || {
+            let answered = timed(&mut local.qa.nanos, || {
                 post(addr, &format!("/v1/jobs/{id}/qa"), &[], question.as_bytes())
             });
             match answered {
@@ -162,14 +157,6 @@ fn client_run(addr: SocketAddr, tenant: &str, client: usize, jobs: usize, shared
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
-    if bench_out.as_deref() == Some("") {
-        eprintln!("error: --bench-out needs a <path>");
-        std::process::exit(1);
-    }
     let quick = args.iter().any(|a| a == "--quick");
 
     // Swarm shape: tenants × clients × jobs-per-client. Gates are
@@ -265,21 +252,12 @@ fn main() {
 
     // Drain and read the daemon's own ledger before gating.
     let summary = daemon.shutdown();
-    let snap = ion_obs::snapshot();
-    let panics = snap.counter("serve.worker.panics");
+    let panics = ion_obs::snapshot().counter("serve.worker.panics");
     println!(
         "daemon: {} done, {} failed, {} cancelled, {} deadlined, {} worker panic(s)",
         summary.done, summary.failed, summary.cancelled, summary.deadlined, panics
     );
 
-    if let Some(path) = &bench_out {
-        let json = snap.to_json();
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote serve swarm trajectory to {path}");
-    }
     let _ = std::fs::remove_dir_all(&root);
 
     // Acceptance gates.

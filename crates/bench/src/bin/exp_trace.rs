@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_trace
-//! cargo run --release -p ion-bench --bin exp_trace -- --bench-out BENCH_trace.json
 //! cargo run --release -p ion-bench --bin exp_trace -- --quick
 //! ```
 //!
@@ -18,9 +17,7 @@
 //! the harness cannot "pass" by accidentally measuring an uninstrumented
 //! run.
 //!
-//! `--bench-out <path>` records an `ion-obs/1` snapshot (per-mode latency
-//! histograms plus the overhead gauge) for `ion_cli obs diff`; `--quick`
-//! shrinks the iteration count for CI smoke.
+//! `--quick` shrinks the iteration count for CI smoke.
 
 use darshan::log::LogWriter;
 use ion::pipeline::IonPipeline;
@@ -48,14 +45,6 @@ fn min_ns(samples: &[u64]) -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default());
-    if bench_out.as_deref() == Some("") {
-        eprintln!("error: --bench-out needs a <path>");
-        std::process::exit(1);
-    }
     let quick = args.iter().any(|a| a == "--quick");
     // Quick mode trims the iteration count for CI but not below what a
     // stable min-of-N needs: 7 iterations left the gate at the mercy of
@@ -90,8 +79,6 @@ fn main() {
     // Measure the two modes interleaved — disabled then traced inside
     // every iteration — so slow drift on a shared box (thermal, noisy
     // neighbors) hits both modes alike instead of biasing one phase.
-    // Samples are kept locally and fed to the registry afterwards (the
-    // sink is off for half of every iteration).
     let mut disabled_ns = Vec::with_capacity(iters);
     let mut traced_ns = Vec::with_capacity(iters);
     let mut spans_per_run = 0usize;
@@ -125,19 +112,10 @@ fn main() {
         );
     }
 
-    for ns in &disabled_ns {
-        ion_obs::observe("trace.bench.disabled_ns", *ns);
-    }
-    for ns in &traced_ns {
-        ion_obs::observe("trace.bench.traced_ns", *ns);
-    }
-
     let base = min_ns(&disabled_ns);
     let traced = min_ns(&traced_ns);
     #[allow(clippy::cast_precision_loss)]
     let overhead_pct = (traced as f64 - base as f64) / base as f64 * 100.0;
-    ion_obs::gauge("trace.bench.overhead_pct", overhead_pct);
-    ion_obs::counter("trace.bench.spans_per_run", spans_per_run as u64);
 
     #[allow(clippy::cast_precision_loss)]
     {
@@ -155,15 +133,6 @@ fn main() {
     println!(
         "\ntracing overhead {overhead_pct:+.2}% (min-of-{iters}), {spans_per_run} span(s) per run"
     );
-
-    if let Some(path) = &bench_out {
-        let json = ion_obs::snapshot().to_json();
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote tracing-overhead trajectory to {path}");
-    }
 
     // Acceptance gates.
     let mut gate_ok = true;

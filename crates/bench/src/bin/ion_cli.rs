@@ -17,8 +17,6 @@
 //!         [--replay <corpus-dir>]             replay pinned regression seeds
 //! ion-cli store gc [--apply]                  prune unreferenced store artifacts
 //! ion-cli serve [addr]                        multi-tenant analysis daemon
-//! ion-cli obs serve [addr]                    standalone live-telemetry endpoint
-//! ion-cli obs diff <base.json> <new.json>     snapshot-diff regression gate
 //! ion-cli obs export --chrome <trace.json>    render an ion-trace/1 document as
 //!         [-o <out.json>]                     Chrome trace_event JSON (Perfetto)
 //! ```
@@ -95,9 +93,9 @@ fn usage() -> ExitCode {
 }
 
 /// A failed invocation. Argument mistakes get the usage text; *outcome*
-/// failures (a failed batch trace, a perf regression caught by `obs
-/// diff`) only set the exit code — dumping usage over a regression report
-/// would bury the signal.
+/// failures (a failed batch trace, an IQL program error) only set the
+/// exit code — dumping usage over the command's own output would bury
+/// the signal.
 struct Failure {
     message: String,
     show_usage: bool,
@@ -687,94 +685,51 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
             }
             _ => return Err("store needs a subcommand: store gc [--apply]".into()),
         },
-        "obs" => {
-            match args.get(1).map(String::as_str) {
-                Some("serve") => {
-                    let addr = args.get(2).map_or("127.0.0.1:9188", String::as_str);
-                    ion_obs::enable();
-                    let server = ion_obs::serve::MetricsServer::bind(addr)
-                        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-                    eprintln!(
-                        "serving telemetry on http://{} (Ctrl-C to stop)",
-                        server.local_addr()
-                    );
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_secs(3600));
-                    }
+        "obs" => match args.get(1).map(String::as_str) {
+            Some("export") => {
+                let rest = &args[2..];
+                if !rest.iter().any(|a| a == "--chrome") {
+                    return Err("obs export needs --chrome <trace.json> [-o <out.json>]".into());
                 }
-                Some("export") => {
-                    let rest = &args[2..];
-                    if !rest.iter().any(|a| a == "--chrome") {
-                        return Err("obs export needs --chrome <trace.json> [-o <out.json>]".into());
+                let out = match rest.iter().position(|a| a == "-o") {
+                    Some(at) => Some(rest.get(at + 1).ok_or("-o needs a path")?.clone()),
+                    None => None,
+                };
+                // The input is the first operand that is neither a flag
+                // nor the -o value.
+                let input = rest
+                    .iter()
+                    .enumerate()
+                    .find(|(i, a)| {
+                        a.as_str() != "--chrome"
+                            && a.as_str() != "-o"
+                            && rest.get(i.wrapping_sub(1)).map(String::as_str) != Some("-o")
+                    })
+                    .map(|(_, a)| a)
+                    .ok_or("obs export needs --chrome <trace.json>")?;
+                let text =
+                    fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+                let doc = ion_obs::json::parse(&text).map_err(|e| format!("{input}: {e}"))?;
+                let spans = ion_obs::trace::parse_spans(&doc).ok_or_else(|| {
+                    format!("{input}: no \"spans\" array (expected an ion-trace/1 document)")
+                })?;
+                let chrome = ion_obs::trace::chrome_trace(&spans);
+                match out {
+                    Some(path) => {
+                        fs::write(&path, &chrome)
+                            .map_err(|e| format!("cannot write {path}: {e}"))?;
+                        println!("wrote {path} ({} spans)", spans.len());
                     }
-                    let out = match rest.iter().position(|a| a == "-o") {
-                        Some(at) => Some(rest.get(at + 1).ok_or("-o needs a path")?.clone()),
-                        None => None,
-                    };
-                    // The input is the first operand that is neither a flag
-                    // nor the -o value.
-                    let input = rest
-                        .iter()
-                        .enumerate()
-                        .find(|(i, a)| {
-                            a.as_str() != "--chrome"
-                                && a.as_str() != "-o"
-                                && rest.get(i.wrapping_sub(1)).map(String::as_str) != Some("-o")
-                        })
-                        .map(|(_, a)| a)
-                        .ok_or("obs export needs --chrome <trace.json>")?;
-                    let text = fs::read_to_string(input)
-                        .map_err(|e| format!("cannot read {input}: {e}"))?;
-                    let doc = ion_obs::json::parse(&text).map_err(|e| format!("{input}: {e}"))?;
-                    let spans = ion_obs::trace::parse_spans(&doc).ok_or_else(|| {
-                        format!("{input}: no \"spans\" array (expected an ion-trace/1 document)")
-                    })?;
-                    let chrome = ion_obs::trace::chrome_trace(&spans);
-                    match out {
-                        Some(path) => {
-                            fs::write(&path, &chrome)
-                                .map_err(|e| format!("cannot write {path}: {e}"))?;
-                            println!("wrote {path} ({} spans)", spans.len());
-                        }
-                        None => emit(&chrome),
-                    }
+                    None => emit(&chrome),
                 }
-                Some("diff") => {
-                    let (base, new) = match (args.get(2), args.get(3)) {
-                        (Some(b), Some(n)) => (b, n),
-                        _ => return Err("obs diff needs <base.json> <new.json>".into()),
-                    };
-                    let tolerance = match args.iter().position(|a| a == "--tolerance") {
-                        Some(at) => {
-                            let frac = args
-                                .get(at + 1)
-                                .ok_or("--tolerance needs a <frac>")?
-                                .parse::<f64>()
-                                .map_err(|_| "--tolerance needs a number, e.g. 0.25")?;
-                            ion_obs::diff::Tolerance::with_frac(frac)
-                        }
-                        None => ion_obs::diff::Tolerance::default(),
-                    };
-                    let base_text =
-                        fs::read_to_string(base).map_err(|e| format!("cannot read {base}: {e}"))?;
-                    let new_text =
-                        fs::read_to_string(new).map_err(|e| format!("cannot read {new}: {e}"))?;
-                    let report = ion_obs::diff::diff_documents(&base_text, &new_text, &tolerance)?;
-                    emit(&report.render_text());
-                    if report.has_regressions() {
-                        return Err(Failure::outcome(format!(
-                            "{} regression(s) beyond tolerance",
-                            report.regressions.len()
-                        )));
-                    }
-                }
-                _ => return Err(
-                    "obs needs a subcommand: obs serve [addr] | obs diff <base.json> <new.json> \
-                     [--tolerance <frac>] | obs export --chrome <trace.json> [-o <out.json>]"
-                        .into(),
-                ),
             }
-        }
+            _ => {
+                return Err(
+                    "obs needs a subcommand: obs export --chrome <trace.json> [-o <out.json>]"
+                        .into(),
+                )
+            }
+        },
         "drishti" => {
             let path = args.get(1).ok_or("drishti needs <log.darshan>")?;
             emit(&drishti::analyze(&load(path)?).render_text());

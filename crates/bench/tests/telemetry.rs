@@ -1,6 +1,6 @@
 //! Live telemetry, end to end: the `/metrics`-`/progress`-`/healthz`
-//! endpoint over a real batch run, the `--events` JSONL stream, the
-//! `obs diff` regression gate's exit codes, and `exp_scaling --bench-out`.
+//! endpoint over a real batch run, the `--events` JSONL stream and the
+//! `--metrics-json` snapshot.
 //!
 //! Library-level tests drive `MetricsServer` + `analyze_dir` in-process
 //! (deterministic); process-level tests spawn the actual binaries the CI
@@ -273,9 +273,9 @@ fn cli_batch_serves_and_streams() {
 }
 
 /// `analyze --events --metrics-json` feeds the CI smoke step: the JSONL
-/// stream parses, and the written snapshot self-diffs clean.
+/// stream parses, and the written snapshot is an `ion-obs/1` document.
 #[test]
-fn cli_analyze_events_and_self_diff() {
+fn cli_analyze_writes_events_and_snapshot() {
     let dir = tmp_dir("cli-analyze");
     let trace = dir.join("t.darshan");
     let events_path = dir.join("events.jsonl");
@@ -308,180 +308,8 @@ fn cli_analyze_events_and_self_diff() {
     assert!(events.iter().any(|e| e.kind == "llm.run.completed"));
     assert!(events.iter().any(|e| e.kind == "pipeline.completed"));
 
-    // The snapshot the run wrote gates itself cleanly.
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            snap_path.to_str().unwrap(),
-            snap_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 regression(s)"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A hand-authored `ion-obs/1` document pair exercises every gate exit
-/// path of `obs diff` at the process level.
-#[test]
-fn cli_obs_diff_exit_codes() {
-    let dir = tmp_dir("cli-diff");
-    let doc = |stage_ns: u64, llm_runs: u64| {
-        format!(
-            "{{\"schema\": \"ion-obs/1\", \
-             \"stages\": {{\"pipeline\": {{\"total_ns\": {stage_ns}, \"count\": 1}}}}, \
-             \"counters\": {{\"llm.runs\": {llm_runs}}}}}"
-        )
-    };
-    let base = dir.join("base.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&base, doc(100_000_000, 5)).unwrap();
-    std::fs::write(&slow, doc(200_000_000, 6)).unwrap();
-
-    // Identical documents: clean exit.
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            base.to_str().unwrap(),
-            base.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Regressed run: non-zero exit, the report names both regressions,
-    // and the usage blurb stays out of the way (this is a CI gate).
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            base.to_str().unwrap(),
-            slow.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stdout.contains("REGRESSION stage `pipeline`"), "{stdout}");
-    assert!(stdout.contains("REGRESSION counter `llm.runs`"), "{stdout}");
-    assert!(
-        stderr.contains("regression(s) beyond tolerance"),
-        "{stderr}"
-    );
-    assert!(
-        !stderr.contains("usage:"),
-        "gate failure is not an argument error: {stderr}"
-    );
-
-    // A loose enough tolerance admits the slowdown but never the extra
-    // model runs? No — --tolerance loosens counter_frac too, so 1.5 passes.
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            base.to_str().unwrap(),
-            slow.to_str().unwrap(),
-            "--tolerance",
-            "1.5",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Argument mistakes still get the usage text.
-    let out = ion_cli().args(["obs", "diff"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
-
-    // A non-snapshot document is rejected.
-    let bogus = dir.join("bogus.json");
-    std::fs::write(&bogus, "{}").unwrap();
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            bogus.to_str().unwrap(),
-            bogus.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `exp_scaling --quick --bench-out` writes an `ion-obs/1` snapshot with
-/// the per-scale spans and stage histograms the diff gate consumes.
-#[test]
-fn exp_scaling_writes_bench_snapshot() {
-    let dir = tmp_dir("scaling");
-    let bench = dir.join("BENCH_scaling.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_exp_scaling"))
-        .args(["--quick", "--bench-out", bench.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&bench).unwrap();
-    let doc = json::parse(&text).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("ion-obs/1"));
-    let stage = doc.get("stages").unwrap().get("scaling.run").unwrap();
-    assert_eq!(
-        stage.get("count").unwrap().as_u64(),
-        Some(1),
-        "--quick runs one scale"
-    );
-    assert!(stage.get("total_ns").unwrap().as_u64().unwrap() > 0);
-    assert!(doc
-        .get("counters")
-        .unwrap()
-        .get("scaling.traced_ops")
-        .is_some());
-
-    // And it self-diffs clean through the gate binary.
-    let out = ion_cli()
-        .args([
-            "obs",
-            "diff",
-            bench.to_str().unwrap(),
-            bench.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `exp_scaling --sched` compares chunk-barrier dispatch against the
-/// `ion-exec` shared queue and gates on the width-4 speedup; its snapshot
-/// is the `BENCH_sched.json` trajectory CI diffs against.
-#[test]
-fn exp_scaling_sched_gate_passes_and_writes_snapshot() {
-    let dir = tmp_dir("sched");
-    let bench = dir.join("BENCH_sched.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_exp_scaling"))
-        .args(["--sched", "--quick", "--bench-out", bench.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&bench).unwrap();
-    let doc = json::parse(&text).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("ion-obs/1"));
-    let stage = doc.get("stages").unwrap().get("sched.run").unwrap();
-    assert_eq!(stage.get("count").unwrap().as_u64(), Some(4), "four widths");
-    let gauges = doc.get("gauges").unwrap();
-    let speedup = gauges.get("sched.speedup.w4").unwrap().as_f64().unwrap();
-    assert!(speedup >= 1.2, "width-4 speedup {speedup} under the gate");
+    let snap = json::parse(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
+    assert_eq!(snap.get("schema").unwrap().as_str(), Some("ion-obs/1"));
+    assert!(snap.get("stages").unwrap().get("pipeline").is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -163,14 +163,6 @@ pub enum TaskOutcome<T> {
 }
 
 impl<T> TaskOutcome<T> {
-    /// The value, if the task completed.
-    pub fn ok(self) -> Option<T> {
-        match self {
-            TaskOutcome::Ok(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Did the task complete?
     #[must_use]
     pub fn is_ok(&self) -> bool {
@@ -436,9 +428,8 @@ mod tests {
             let out = Batch::new()
                 .with_width(w)
                 .map_ordered(&items, |&i, _| i * 10);
-            let values: Vec<usize> = out.into_iter().map(|o| o.ok().unwrap()).collect();
-            let expected: Vec<usize> = (0..23).map(|i| i * 10).collect();
-            assert_eq!(values, expected, "width {w}");
+            let expected: Vec<_> = (0..23).map(|i| TaskOutcome::Ok(i * 10)).collect();
+            assert_eq!(out, expected, "width {w}");
         }
     }
 

@@ -1,10 +1,9 @@
 //! The original row-at-a-time IQL tree-walker, kept behind the
-//! `legacy-eval` feature solely as the differential-test oracle (and the
-//! "before" side of `exp_iql`). It materializes every intermediate table
-//! as `Vec<Vec<Value>>` rows — exactly the cloning behavior the
-//! vectorized executor replaced — and must never be extended with new
-//! semantics: the planned engine in [`super::exec`] is checked against
-//! this implementation bit-for-bit.
+//! `legacy-eval` feature solely as the differential-test oracle. It
+//! materializes every intermediate table as `Vec<Vec<Value>>` rows —
+//! exactly the cloning behavior the vectorized executor replaced — and
+//! must never be extended with new semantics: the planned engine in
+//! [`super::exec`] is checked against this implementation bit-for-bit.
 
 use super::ast::{Expr, Program, Stmt, UnaryOp};
 use super::eval::RunOutput;

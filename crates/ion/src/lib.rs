@@ -45,7 +45,6 @@ pub mod analyzer;
 pub mod compare;
 pub mod consistency;
 pub mod context;
-pub mod ensemble;
 pub mod pipeline;
 pub mod prompt;
 pub mod report;

@@ -2,8 +2,8 @@
 //!
 //! The workspace is offline (no `serde_json`), and the only JSON this
 //! crate must *read back* is its own output: `ion-obs/1` snapshot
-//! documents (the diff gate) and `ion-obs/events/2` JSONL lines (tests,
-//! tail tooling). This is a small recursive-descent parser over that
+//! documents, `ion-trace/1` span trees (`obs export`) and
+//! `ion-obs/events/2` JSONL lines (tests, tail tooling). This is a small recursive-descent parser over that
 //! grammar — full JSON minus exotica nobody emits here (`\uXXXX` escapes
 //! are decoded for the BMP only).
 

@@ -11,7 +11,7 @@
 //!   name resolution takes a `parking_lot` read lock.
 //! - **Renderers** ([`Snapshot::render_profile`], [`Snapshot::to_json`]):
 //!   a human-readable profile tree and a machine-readable JSON document
-//!   (the `BENCH_*.json` trajectory schema, `"schema": "ion-obs/1"`).
+//!   (`"schema": "ion-obs/1"`, what `--metrics-json` writes).
 //!
 //! The global sink is **off by default**. Instrumented code pays one
 //! relaxed atomic load per call site while disabled — no clock reads, no
@@ -34,7 +34,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub mod diff;
 pub mod events;
 pub mod json;
 pub mod metrics;

@@ -1,4 +1,4 @@
-//! Renderers: human-readable profile tree and `BENCH_*.json`-style JSON.
+//! Renderers: human-readable profile tree and `ion-obs/1` JSON.
 
 use crate::metrics::{HistogramSnapshot, LabeledCounters, LabeledHistograms, Registry};
 use crate::span::{SpanData, SpanId, SpanStore};
@@ -146,7 +146,7 @@ impl Snapshot {
         }
     }
 
-    /// Serialize as the `BENCH_*.json` trajectory document
+    /// Serialize as the `--metrics-json` document
     /// (`"schema": "ion-obs/1"`): per-stage aggregates keyed by span name,
     /// raw metrics, and the full span list.
     #[must_use]

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client over `std::net` — just enough for
-//! the daemon's own tests, the `exp_serve` load harness and CI smoke
-//! checks to talk to a running [`Daemon`](crate::Daemon) without any
-//! external dependency.
+//! the daemon's own tests, the report-equivalence matrix and the load
+//! harnesses (`exp_serve`, `perfbench`) to talk to a running
+//! [`Daemon`](crate::Daemon) without any external dependency.
 //!
 //! One request per connection (the server speaks `Connection: close`), so
 //! a [`Reply`] is complete once the socket reaches EOF.
