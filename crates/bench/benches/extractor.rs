@@ -1,9 +1,9 @@
-//! Criterion bench: the ION Extractor (log → CSV tables) and the CSV
-//! codec round trip.
+//! Criterion bench: the ION Extractor (log → tables), the CSV writer
+//! and the table artifact codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use extractor::csv::{from_csv, to_csv};
-use extractor::extract_tables;
+use extractor::csv::to_csv;
+use extractor::{decode_table, encode_table, extract_tables};
 use workloads::ior::ior_easy_2kb_shared;
 use workloads::Workload;
 
@@ -20,9 +20,12 @@ fn bench_extract(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("to_csv", ops), dxt, |b, t| {
             b.iter(|| to_csv(t));
         });
-        let csv = to_csv(dxt);
-        group.bench_with_input(BenchmarkId::new("from_csv", ops), &csv, |b, s| {
-            b.iter(|| from_csv("DXT", s).unwrap());
+        group.bench_with_input(BenchmarkId::new("encode_table", ops), dxt, |b, t| {
+            b.iter(|| encode_table(t));
+        });
+        let artifact = encode_table(dxt);
+        group.bench_with_input(BenchmarkId::new("decode_table", ops), &artifact, |b, a| {
+            b.iter(|| decode_table(a).unwrap());
         });
     }
     group.finish();

@@ -9,7 +9,13 @@
 //! directory) as an opaque byte blob. [`ChunkedTableBuilder::finish`]
 //! reloads any spilled chunks in order and returns a [`Table`] that
 //! compares equal — cell for cell — to the one the batch extractor would
-//! have built, so content digests and warm stores are unaffected.
+//! have built.
+//!
+//! The same chunk codec is the table serialization: [`encode_table`]
+//! writes a small header (table name, column names) and one chunk over
+//! each column's canonical encoding, so equal tables encode to equal
+//! bytes whichever path built them. `ion-store` keeps every extracted
+//! table as such an artifact, addressed by the hash of those bytes.
 
 use crate::table::{Bitmap, ColumnData, Table, Value};
 use std::io;
@@ -222,6 +228,7 @@ impl ChunkedTableBuilder {
 }
 
 const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"ICK1");
+const TABLE_MAGIC: u32 = u32::from_le_bytes(*b"ITB1");
 
 const TAG_INT: u8 = 0;
 const TAG_FLOAT: u8 = 1;
@@ -238,16 +245,115 @@ const TAG_MIXED: u8 = 6;
 #[must_use]
 pub fn encode_chunk(cols: &[ColumnData]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(cols.len())
-            .expect("column count fits u32")
-            .to_le_bytes(),
-    );
-    for col in cols {
-        encode_column(&mut out, col);
-    }
+    write_chunk(&mut out, cols);
     out
+}
+
+fn write_chunk(out: &mut Vec<u8>, cols: &[ColumnData]) {
+    out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
+    put_count(out, cols.len());
+    for col in cols {
+        encode_column(out, col);
+    }
+}
+
+/// Serialize a whole table: a header (table name, column names) plus one
+/// chunk holding every column in its canonical encoding. The canonical
+/// form is a function of the cell values alone, so two equal tables
+/// encode to the same bytes whether they were built row by row, streamed
+/// through chunks or spilled — which lets the bytes' hash serve as the
+/// table's content digest.
+#[must_use]
+pub fn encode_table(table: &Table) -> Vec<u8> {
+    let cols: Vec<ColumnData> = (0..table.columns.len())
+        .filter_map(|i| table.column(i))
+        .map(canonical)
+        .collect();
+    write_table(&table.name, &table.column_names(), &cols)
+}
+
+fn write_table(name: &str, columns: &[&str], cols: &[ColumnData]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
+    encode_str(&mut out, name);
+    put_count(&mut out, columns.len());
+    for c in columns {
+        encode_str(&mut out, c);
+    }
+    write_chunk(&mut out, cols);
+    out
+}
+
+/// Deserialize a table produced by [`encode_table`].
+///
+/// # Errors
+///
+/// Fails with `InvalidData` on anything [`decode_chunk`] rejects, a bad
+/// header, duplicate column names, or a header that names a different
+/// number of columns than the chunk holds.
+pub fn decode_table(bytes: &[u8]) -> io::Result<Table> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    if cur.u32()? != TABLE_MAGIC {
+        return Err(bad("bad table magic"));
+    }
+    let name = cur.str()?;
+    let ncols = cur.u32()? as usize;
+    let mut names: Vec<String> = Vec::new();
+    for _ in 0..ncols {
+        let column = cur.str()?;
+        if names.iter().any(|n| **n == *column) {
+            return Err(bad(format!("duplicate column {column} in table {name}")));
+        }
+        names.push(column.to_string());
+    }
+    let cols = decode_chunk(&bytes[cur.pos..])?;
+    if cols.len() != names.len() {
+        return Err(bad(format!(
+            "table {name} names {} columns but holds {}",
+            names.len(),
+            cols.len()
+        )));
+    }
+    Ok(Table::from_columns(
+        &name,
+        names
+            .into_iter()
+            .zip(cols.into_iter().map(Arc::new))
+            .collect(),
+    ))
+}
+
+/// The canonical physical form of a column, a function of its cells
+/// alone. The column expands to its dense form; a null-free typed column
+/// keeps it, anything else (nulls, `Mixed`, no rows) is rebuilt cell by
+/// cell, which fixes the null placeholders and the type of an all-null
+/// column. Either way [`ColumnData::compressed`] then picks the encoding.
+fn canonical(col: &ColumnData) -> ColumnData {
+    let dense = col.clone().decompressed();
+    let dense = if dense.is_empty() || dense.null_count() > 0 {
+        ColumnData::from_values(dense.iter())
+    } else {
+        match dense {
+            ColumnData::Int { values, .. } => ColumnData::Int {
+                values,
+                validity: None,
+            },
+            ColumnData::Float { values, .. } => ColumnData::Float {
+                values,
+                validity: None,
+            },
+            ColumnData::Str { values, .. } => ColumnData::Str {
+                values,
+                validity: None,
+            },
+            mixed => ColumnData::from_values(mixed.iter()),
+        }
+    };
+    dense.compressed()
+}
+
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&u32::try_from(n).expect("count fits u32").to_le_bytes());
 }
 
 fn put_len(out: &mut Vec<u8>, n: usize) {
@@ -278,11 +384,7 @@ fn encode_validity(out: &mut Vec<u8>, validity: Option<&Bitmap>) {
 }
 
 fn encode_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(
-        &u32::try_from(s.len())
-            .expect("string fits u32")
-            .to_le_bytes(),
-    );
+    put_count(out, s.len());
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -456,18 +558,30 @@ fn decode_validity(cur: &mut Cursor<'_>, rows: usize) -> io::Result<Option<Bitma
 /// # Errors
 ///
 /// Fails with `InvalidData` on truncation, bad magic, unknown column
-/// tags, malformed UTF-8, dictionary codes out of range, or
-/// non-increasing RLE run ends — a pager returning corrupted bytes can
-/// never panic the caller.
+/// tags, malformed UTF-8, dictionary codes out of range (null slots
+/// included), non-increasing RLE run ends, or columns of unequal length
+/// — a pager or store returning corrupted bytes can never panic the
+/// caller, now or when it later reads the columns.
 pub fn decode_chunk(bytes: &[u8]) -> io::Result<Vec<ColumnData>> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.u32()? != CHUNK_MAGIC {
         return Err(bad("bad chunk magic"));
     }
     let ncols = cur.u32()? as usize;
-    let mut cols = Vec::new();
+    let mut cols: Vec<ColumnData> = Vec::new();
     for _ in 0..ncols {
-        cols.push(decode_column(&mut cur)?);
+        let col = decode_column(&mut cur)?;
+        if let Some(first) = cols.first() {
+            if col.len() != first.len() {
+                return Err(bad(format!(
+                    "column {} has {} rows, column 0 has {}",
+                    cols.len(),
+                    col.len(),
+                    first.len()
+                )));
+            }
+        }
+        cols.push(col);
     }
     if cur.pos != bytes.len() {
         return Err(bad(format!(
@@ -519,11 +633,10 @@ fn decode_column(cur: &mut Cursor<'_>) -> io::Result<ColumnData> {
                 dict.push(cur.str()?);
             }
             let validity = decode_validity(cur, n)?;
-            for (i, &c) in codes.iter().enumerate() {
-                let null = validity.as_ref().is_some_and(|b| !b.get(i));
-                if !null && c as usize >= dict.len() {
-                    return Err(bad(format!("dictionary code {c} out of range {dn}")));
-                }
+            // Null slots too: `decompressed` and `append` index the
+            // dictionary with every code.
+            if let Some(c) = codes.iter().find(|&&c| c as usize >= dn) {
+                return Err(bad(format!("dictionary code {c} out of range {dn}")));
             }
             Ok(ColumnData::Dict {
                 codes,
@@ -673,24 +786,33 @@ mod tests {
 
     #[test]
     fn every_encoding_round_trips_through_chunk_codec() {
+        // Every column of a chunk has the same row count (12).
+        let cycle = |cells: Vec<Value>| cells.into_iter().cycle().take(12);
         let cols = vec![
-            ColumnData::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]),
-            ColumnData::from_values(vec![Value::Float(0.5), Value::Null, Value::Float(-0.0)]),
-            ColumnData::from_values(vec![
+            ColumnData::from_values(cycle(vec![Value::Int(1), Value::Null, Value::Int(3)])),
+            ColumnData::from_values(cycle(vec![
+                Value::Float(0.5),
+                Value::Null,
+                Value::Float(-0.0),
+            ])),
+            ColumnData::from_values(cycle(vec![
                 Value::Str("a".into()),
                 Value::Null,
                 Value::Str("".into()),
-            ]),
-            ColumnData::from_values((0..20).map(|i| Value::Str(Arc::from(["x", "y"][i % 2]))))
+            ])),
+            ColumnData::from_values((0..12).map(|i| Value::Str(Arc::from(["x", "y"][i % 2]))))
                 .compressed(),
             ColumnData::from_values(vec![Value::Int(9); 12]).compressed(),
             ColumnData::from_values(vec![Value::Float(2.5); 12]).compressed(),
-            ColumnData::Mixed(vec![
-                Value::Int(1),
-                Value::Float(f64::NAN),
-                Value::Str("s".into()),
-                Value::Null,
-            ]),
+            ColumnData::Mixed(
+                cycle(vec![
+                    Value::Int(1),
+                    Value::Float(f64::NAN),
+                    Value::Str("s".into()),
+                    Value::Null,
+                ])
+                .collect(),
+            ),
         ];
         let bytes = encode_chunk(&cols);
         let back = decode_chunk(&bytes).unwrap();
@@ -712,6 +834,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dict_null_slot_code_out_of_range_is_rejected() {
+        let mut validity = Bitmap::default();
+        validity.push(true);
+        validity.push(false);
+        let col = ColumnData::Dict {
+            codes: vec![0, 7],
+            dict: vec![Arc::from("a")],
+            validity: Some(validity),
+        };
+        let err = decode_chunk(&encode_chunk(&[col])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn unequal_column_lengths_are_rejected() {
+        let cols = [
+            ColumnData::from_values(vec![Value::Int(1)]),
+            ColumnData::from_values(vec![Value::Int(1), Value::Int(2)]),
+        ];
+        let err = decode_chunk(&encode_chunk(&cols)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn duplicate_or_miscounted_column_names_are_rejected() {
+        let cols = [
+            ColumnData::from_values(vec![Value::Int(1)]),
+            ColumnData::from_values(vec![Value::Int(2)]),
+        ];
+        assert!(decode_table(&write_table("T", &["a", "b"], &cols)).is_ok());
+        for names in [&["a", "a"][..], &["a"], &["a", "b", "c"]] {
+            let err = decode_table(&write_table("T", names, &cols)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{names:?}");
+        }
+    }
+
+    #[test]
+    fn table_bytes_depend_only_on_cell_values() {
+        let plain = plain_table(100);
+        let bytes = encode_table(&plain);
+        let back = decode_table(&bytes).unwrap();
+        assert_eq!(back, plain);
+        assert_eq!(encode_table(&back), bytes);
+        // Null placeholders and the type of an all-null column are not
+        // cell values, so they do not reach the bytes.
+        let mut a = Table::new("N", &["s", "z"]);
+        a.push_row(vec![Value::from("x"), Value::Null]);
+        a.push_row(vec![Value::Null, Value::Null]);
+        let mut second_null = Bitmap::filled(1, true);
+        second_null.push(false);
+        let b = Table::from_columns(
+            "N",
+            vec![
+                (
+                    "s".into(),
+                    Arc::new(ColumnData::Dict {
+                        codes: vec![0, 0],
+                        dict: vec![Arc::from("x")],
+                        validity: Some(second_null),
+                    }),
+                ),
+                (
+                    "z".into(),
+                    Arc::new(ColumnData::Float {
+                        values: vec![1.5, -2.0],
+                        validity: Some(Bitmap::filled(2, false)),
+                    }),
+                ),
+            ],
+        );
+        assert_eq!(a, b);
+        assert_eq!(encode_table(&a), encode_table(&b));
     }
 
     #[test]

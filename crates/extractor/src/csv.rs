@@ -1,50 +1,13 @@
-//! Minimal RFC-4180 CSV codec.
+//! Minimal RFC-4180 CSV writer.
 //!
-//! Implemented in-repo to keep the dependency set to the allowed list.
-//! Supports quoting (fields containing `,`, `"`, or newlines), escaped
-//! quotes (`""`), and tolerates both `\n` and `\r\n` line endings.
+//! CSV is how ION hands tables to the model (prompt attachments) and to
+//! people (`ion_cli extract`). Implemented in-repo to keep the
+//! dependency set to the allowed list. Fields containing `,`, `"` or a
+//! line break are quoted, with embedded quotes doubled (`""`). Nothing
+//! reads CSV back: stored tables use the chunk codec
+//! ([`crate::chunked::encode_table`]).
 
-use crate::table::{Table, Value};
-use std::fmt;
-
-/// Error produced when parsing malformed CSV.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsvError {
-    /// A quoted field was never closed.
-    UnterminatedQuote {
-        /// Line (1-based) where the field started.
-        line: usize,
-    },
-    /// A data row had a different number of fields than the header.
-    RaggedRow {
-        /// Row number (1-based, excluding header).
-        row: usize,
-        /// Fields found.
-        found: usize,
-        /// Fields expected from the header.
-        expected: usize,
-    },
-    /// Input had no header row.
-    Empty,
-}
-
-impl fmt::Display for CsvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CsvError::UnterminatedQuote { line } => {
-                write!(f, "unterminated quoted field starting on line {line}")
-            }
-            CsvError::RaggedRow {
-                row,
-                found,
-                expected,
-            } => write!(f, "row {row} has {found} fields, header has {expected}"),
-            CsvError::Empty => write!(f, "csv input has no header row"),
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
+use crate::table::Table;
 
 fn needs_quoting(field: &str) -> bool {
     field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r')
@@ -88,114 +51,16 @@ pub fn to_csv(table: &Table) -> String {
     out
 }
 
-/// Split raw CSV text into records of string fields.
-///
-/// # Errors
-///
-/// Returns [`CsvError::UnterminatedQuote`] on a quote that never closes.
-pub fn parse_records(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = input.chars().peekable();
-    let mut in_quotes = false;
-    let mut quote_start_line = 1usize;
-    let mut line = 1usize;
-    let mut any = false;
-
-    while let Some(ch) = chars.next() {
-        any = true;
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    line += 1;
-                    field.push(ch);
-                }
-                _ => field.push(ch),
-            }
-        } else {
-            match ch {
-                '"' => {
-                    in_quotes = true;
-                    quote_start_line = line;
-                }
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {
-                    // Swallow; `\n` (if any) terminates the record.
-                }
-                '\n' => {
-                    line += 1;
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                _ => field.push(ch),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(CsvError::UnterminatedQuote {
-            line: quote_start_line,
-        });
-    }
-    if !field.is_empty() || !record.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    if !any {
-        return Err(CsvError::Empty);
-    }
-    Ok(records)
-}
-
-/// Parse CSV text into a [`Table`], inferring cell types.
-///
-/// # Errors
-///
-/// Returns [`CsvError::Empty`] for empty input, [`CsvError::RaggedRow`]
-/// when a row's width differs from the header, or
-/// [`CsvError::UnterminatedQuote`] for malformed quoting.
-pub fn from_csv(name: &str, input: &str) -> Result<Table, CsvError> {
-    let records = parse_records(input)?;
-    let mut iter = records.into_iter();
-    let header = iter.next().ok_or(CsvError::Empty)?;
-    let cols: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(name, &cols);
-    for (i, rec) in iter.enumerate() {
-        if rec.len() != cols.len() {
-            return Err(CsvError::RaggedRow {
-                row: i + 1,
-                found: rec.len(),
-                expected: cols.len(),
-            });
-        }
-        table.push_row(rec.iter().map(|f| Value::parse(f)).collect());
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Value;
 
-    fn sample_table() -> Table {
+    #[test]
+    fn writer_quotes_commas_quotes_and_line_breaks() {
         let mut t = Table::new("T", &["id", "path", "note"]);
         t.push_row(vec![
             Value::Int(1),
-            Value::Str("/a/b.dat".into()),
-            Value::Str("plain".into()),
-        ]);
-        t.push_row(vec![
-            Value::Int(2),
             Value::Str("has,comma".into()),
             Value::Str("has \"quote\"".into()),
         ]);
@@ -204,65 +69,22 @@ mod tests {
             Value::Str("multi\nline".into()),
             Value::Null,
         ]);
-        t
-    }
-
-    #[test]
-    fn round_trip_preserves_structure() {
-        let t = sample_table();
-        let text = to_csv(&t);
-        let back = from_csv("T", &text).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.cell(1, "path"), Some(Value::Str("has,comma".into())));
         assert_eq!(
-            back.cell(1, "note"),
-            Some(Value::Str("has \"quote\"".into()))
+            to_csv(&t),
+            "id,path,note\n1,\"has,comma\",\"has \"\"quote\"\"\"\n2.5,\"multi\nline\",\n"
         );
-        assert_eq!(back.cell(2, "path"), Some(Value::Str("multi\nline".into())));
-        assert_eq!(back.cell(2, "id"), Some(Value::Float(2.5)));
-        assert_eq!(back.cell(2, "note"), Some(Value::Null));
-    }
-
-    #[test]
-    fn crlf_line_endings_tolerated() {
-        let t = from_csv("T", "a,b\r\n1,2\r\n3,4\r\n").unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.cell(1, "b"), Some(Value::Int(4)));
-    }
-
-    #[test]
-    fn missing_trailing_newline_tolerated() {
-        let t = from_csv("T", "a,b\n1,2").unwrap();
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn ragged_row_rejected() {
-        let err = from_csv("T", "a,b\n1\n").unwrap_err();
-        assert!(matches!(err, CsvError::RaggedRow { row: 1, .. }));
-    }
-
-    #[test]
-    fn unterminated_quote_rejected() {
-        let err = from_csv("T", "a\n\"oops\n").unwrap_err();
-        assert!(matches!(err, CsvError::UnterminatedQuote { .. }));
-    }
-
-    #[test]
-    fn empty_input_rejected() {
-        assert_eq!(from_csv("T", ""), Err(CsvError::Empty));
     }
 
     #[test]
     fn header_only_is_empty_table() {
-        let t = from_csv("T", "a,b\n").unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.column_names(), vec!["a", "b"]);
+        assert_eq!(to_csv(&Table::new("T", &["a", "b"])), "a,b\n");
     }
 
     #[test]
     fn quoted_header_fields() {
-        let t = from_csv("T", "\"col,1\",col2\n1,2\n").unwrap();
-        assert_eq!(t.column_index("col,1"), Some(0));
+        assert_eq!(
+            to_csv(&Table::new("T", &["col,1", "col2"])),
+            "\"col,1\",col2\n"
+        );
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`csv`] — a minimal RFC-4180 CSV codec (quoting, escaping, CRLF
-//!   tolerance), written in-repo to stay within the allowed dependency set.
+//! * [`csv`] — a minimal RFC-4180 CSV writer (quoting, escaping) for
+//!   prompts and `ion_cli extract`, written in-repo to stay within the
+//!   allowed dependency set.
 //! * [`table`] — a typed, column-oriented table model ([`Table`],
 //!   [`Value`]) that both the CSV layer and the IQL interpreter share.
 //! * [`schema`] — prose descriptions of every column, used verbatim in ION
@@ -17,7 +18,9 @@
 //! * [`extract`] — the extractor itself: [`extract::extract_tables`],
 //!   and the one module → table fold both extraction paths run.
 //! * [`chunked`] — out-of-core table building: fixed-row chunks,
-//!   compressed column encodings, and the spill pager contract.
+//!   compressed column encodings, the spill pager contract, and the
+//!   table codec ([`encode_table`]/[`decode_table`]) the store keeps
+//!   tables in.
 //! * [`stream`] — streaming extraction ([`stream::extract_stream`]):
 //!   the same fold, fed one decoded region at a time into chunked
 //!   tables.
@@ -51,7 +54,10 @@ pub mod stats;
 pub mod stream;
 pub mod table;
 
-pub use chunked::{decode_chunk, encode_chunk, ChunkPager, ChunkTicket, ChunkedTableBuilder};
+pub use chunked::{
+    decode_chunk, decode_table, encode_chunk, encode_table, ChunkPager, ChunkTicket,
+    ChunkedTableBuilder,
+};
 pub use extract::{extract_tables, TableSet};
 pub use stream::{extract_stream, StreamExtractError, StreamExtracted, DEFAULT_CHUNK_ROWS};
 pub use table::{Bitmap, Column, ColumnData, RowView, Table, Value};

@@ -1,7 +1,6 @@
-//! Property-based tests for the CSV codec and table model.
+//! Property-based tests for the CSV cell rendering.
 
-use extractor::csv::{from_csv, parse_records, to_csv};
-use extractor::{Table, Value};
+use extractor::Value;
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -16,24 +15,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_table() -> impl Strategy<Value = Table> {
-    (1usize..6, 0usize..20).prop_flat_map(|(ncols, nrows)| {
-        let cols: Vec<String> = (0..ncols).map(|i| format!("col{i}")).collect();
-        proptest::collection::vec(proptest::collection::vec(arb_value(), ncols), nrows..=nrows)
-            .prop_map(move |rows| {
-                let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                let mut t = Table::new("T", &col_refs);
-                for row in rows {
-                    t.push_row(row);
-                }
-                t
-            })
-    })
-}
-
-/// Semantic equality after a CSV round trip: numbers compare numerically
-/// (an Int may come back as the same Float and vice versa is impossible
-/// since ints parse first), strings and nulls exactly.
+/// Semantic equality of a rendered-and-reparsed cell: numbers compare
+/// numerically (an Int may come back as the same Float and vice versa is
+/// impossible since ints parse first), strings and nulls exactly.
 fn csv_equivalent(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
@@ -46,52 +30,6 @@ fn csv_equivalent(a: &Value, b: &Value) -> bool {
 }
 
 proptest! {
-    #[test]
-    fn csv_round_trip_preserves_values(table in arb_table()) {
-        let text = to_csv(&table);
-        let back = from_csv("T", &text).unwrap();
-        prop_assert_eq!(back.len(), table.len());
-        prop_assert_eq!(back.columns.len(), table.columns.len());
-        for (orig_row, new_row) in table.iter_rows().zip(back.iter_rows()) {
-            for (a, b) in orig_row.values().zip(new_row.values()) {
-                prop_assert!(
-                    csv_equivalent(&a, &b),
-                    "value changed across round trip: {:?} -> {:?}",
-                    a,
-                    b
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parser_never_panics_on_arbitrary_input(input in "\\PC{0,500}") {
-        let _ = parse_records(&input);
-        let _ = from_csv("T", &input);
-    }
-
-    #[test]
-    fn parse_records_field_counts_consistent(
-        // Fields are non-empty: a fully empty trailing record is
-        // indistinguishable from no record in bare CSV.
-        rows in proptest::collection::vec(
-            proptest::collection::vec("[a-z]{1,6}", 1..5),
-            1..10
-        )
-    ) {
-        // Build unquoted CSV by hand; every row has its own width.
-        let text: String = rows
-            .iter()
-            .map(|r| r.join(","))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = parse_records(&text).unwrap();
-        prop_assert_eq!(parsed.len(), rows.len());
-        for (orig, got) in rows.iter().zip(&parsed) {
-            prop_assert_eq!(orig.len(), got.len());
-        }
-    }
-
     #[test]
     fn value_parse_display_is_stable(v in arb_value()) {
         // Rendering and reparsing twice reaches a fixed point.

@@ -1,10 +1,11 @@
 //! Property tests for the columnar [`Table`] invariants under hostile
 //! inputs: validity bitmaps always track column length, the `Mixed`
 //! fallback never loses cells, and degenerate tables (zero-row, all-null)
-//! digest stably through the canonical CSV form.
+//! encode to the same table artifact whichever way they were built.
 
-use extractor::csv::{from_csv, to_csv};
+use extractor::csv::to_csv;
 use extractor::table::{ColumnData, Table, Value};
+use extractor::{decode_table, encode_table};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -178,9 +179,9 @@ proptest! {
         }
     }
 
-    // All-null tables round-trip through CSV to the same canonical bytes
-    // regardless of construction path — the digest-stability contract
-    // (ion-store digests fold the canonical cell stream).
+    // All-null tables encode to the same artifact bytes regardless of
+    // construction path — the digest-stability contract (ion-store
+    // digests hash the artifact).
     #[test]
     fn all_null_tables_digest_stably(rows in 0usize..20, cols in 1usize..5) {
         let names: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
@@ -203,17 +204,18 @@ proptest! {
             .collect();
         let by_cols = Table::from_columns("t", columns);
 
-        let csv_rows = to_csv(&by_rows);
-        let csv_cols = to_csv(&by_cols);
-        prop_assert_eq!(&csv_rows, &csv_cols);
-        // And the canonical form is a fixpoint: parse → render is stable.
-        let reparsed = from_csv("t", &csv_rows).unwrap();
-        prop_assert_eq!(to_csv(&reparsed), csv_rows);
+        prop_assert_eq!(to_csv(&by_rows), to_csv(&by_cols));
+        let bytes = encode_table(&by_rows);
+        prop_assert_eq!(&encode_table(&by_cols), &bytes);
+        // And the canonical form is a fixpoint: decode → encode is stable.
+        let decoded = decode_table(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &by_rows);
+        prop_assert_eq!(encode_table(&decoded), bytes);
     }
 }
 
 #[test]
-fn zero_row_table_digests_stably() {
+fn zero_row_table_artifacts_encode_stably() {
     let a = Table::new("t", &["x", "y"]);
     let b = Table::from_columns(
         "t",
@@ -223,9 +225,11 @@ fn zero_row_table_digests_stably() {
         ],
     );
     assert_eq!(to_csv(&a), to_csv(&b));
-    let reparsed = from_csv("t", &to_csv(&a)).unwrap();
-    assert!(reparsed.is_empty());
-    assert_eq!(to_csv(&reparsed), to_csv(&a));
+    assert_eq!(encode_table(&a), encode_table(&b));
+    let decoded = decode_table(&encode_table(&a)).unwrap();
+    assert!(decoded.is_empty());
+    assert_eq!(decoded, a);
+    assert_eq!(encode_table(&decoded), encode_table(&a));
 }
 
 /// Hostile cells must never panic the read paths.

@@ -5,14 +5,20 @@
 //! (valid-prefix) decode, table extraction, analysis. A panic in *any*
 //! stage is a contract violation — the pipeline's own error handling
 //! (typed [`darshan::DarshanError`]s, per-issue failed diagnoses) must
-//! absorb everything hostile bytes can throw at it.
+//! absorb everything hostile bytes can throw at it. The extract stage
+//! also round-trips every table through the artifact codec the store
+//! keeps tables in, and decodes seeded mutations of each artifact.
 
+use crate::rng::FuzzRng;
 use darshan::log::{Log, LogReader, StreamDecoder};
 use darshan::records::JobRecord;
 use extractor::csv::to_csv;
-use extractor::{extract_stream, extract_tables, TableSet};
+use extractor::{decode_table, encode_table, extract_stream, extract_tables, TableSet};
 use ion::IonPipeline;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Mutated copies of each table artifact decoded per driven input.
+const ARTIFACT_MUTATIONS: usize = 4;
 
 /// Pipeline stage an artifact reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +32,8 @@ pub enum Stage {
     Stream,
     /// Lenient decode: `LogReader::read_lenient` (valid-prefix recovery).
     LenientDecode,
-    /// Column extraction: `extractor::extract_tables`.
+    /// Column extraction: `extractor::extract_tables`, then a round trip
+    /// of every table through `encode_table`/`decode_table`.
     Extract,
     /// Analysis: `IonPipeline::run_tables` (mock LLM).
     Analyze,
@@ -175,6 +182,35 @@ fn same_tables(batch: &TableSet, streamed: &TableSet) {
     }
 }
 
+/// Every table must round-trip through its store artifact (cells
+/// compared rendered, as in [`same_tables`]), and single-byte mutations
+/// of the artifact must decode to a typed error or to a table that can
+/// be re-encoded — which expands every column and reads every cell.
+fn table_artifacts_round_trip(tables: &TableSet) {
+    for (name, table) in tables.iter() {
+        let bytes = encode_table(table);
+        let back = decode_table(&bytes)
+            .unwrap_or_else(|e| panic!("table {name} artifact does not decode: {e}"));
+        assert!(
+            to_csv(&back) == to_csv(table),
+            "table {name} changed across its artifact round trip"
+        );
+        let mut rng = FuzzRng::new(bytes.len() as u64);
+        for _ in 0..ARTIFACT_MUTATIONS {
+            let mut mutated = bytes.clone();
+            let at = rng.index(mutated.len());
+            mutated[at] ^= 1 + rng.below(255) as u8;
+            // A mutated run end may claim more rows than the bytes hold;
+            // reading those back would only measure the allocator.
+            if let Ok(decoded) = decode_table(&mutated) {
+                if decoded.len() <= table.len() {
+                    drop(encode_table(&decoded));
+                }
+            }
+        }
+    }
+}
+
 fn drive_inner(bytes: &[u8]) -> Result<Verdict, Verdict> {
     let strict = trap(Stage::Decode, || LogReader::read(bytes))?;
     let streamed = trap(Stage::Stream, || stream_check(bytes, strict.is_ok()))?;
@@ -196,7 +232,9 @@ fn drive_inner(bytes: &[u8]) -> Result<Verdict, Verdict> {
 
     let pipeline = IonPipeline::new();
     let (tables, params) = trap(Stage::Extract, || {
-        (extract_tables(&log), pipeline.params_for(&log))
+        let tables = extract_tables(&log);
+        table_artifacts_round_trip(&tables);
+        (tables, pipeline.params_for(&log))
     })?;
     if let Some(streamed) = streamed {
         trap(Stage::Stream, || same_tables(&tables, &streamed))?;

@@ -2,9 +2,10 @@
 //!
 //! Three artifact kinds flow through the store:
 //!
-//! * **Tables** — one artifact per extracted table plus a [`TraceMeta`]
+//! * **Tables** — one artifact per extracted table, in the extractor's
+//!   chunk codec ([`extractor::encode_table`]), plus a [`TraceMeta`]
 //!   holding the [`SystemParams`] derived from the decoded log and every
-//!   table's digest, memoizing decode + extraction.
+//!   table artifact's digest, memoizing decode + extraction.
 //! * **Diagnosis** — one per-issue [`Diagnosis`]. Only the raw
 //!   completion, the typed metrics, the issue id and the context
 //!   revision are stored; everything else is reconstructed through
@@ -12,22 +13,25 @@
 //!   cached diagnosis is bit-identical to a recomputed one.
 //! * **Summary** — the global summary text.
 //!
-//! Formats are length-framed text (`magic v1` header, `\n`-separated
-//! fields, byte-counted payloads) — human-greppable on disk, no
-//! delimiter-escaping corner cases, versioned for forward rejection.
+//! The trace meta and the diagnosis are length-framed text (`magic vN`
+//! header, `\n`-separated fields, byte-counted payloads) — human-greppable
+//! on disk, no delimiter-escaping corner cases, versioned for forward
+//! rejection. Tables are binary: their encoding is canonical, so a
+//! table's content digest is simply the hash of its artifact.
 //!
-//! Digests of domain objects live here too. Table digests fold rows
-//! through [`UnorderedDigest`]: extraction may materialize rows in any
-//! order under parallelism, and reordering rows must not invalidate
-//! caches. Everything else (column sets, params, context text) hashes
-//! in order, because order is meaning there.
+//! Digests of domain objects (params, context text) live here too and
+//! hash in order, because order is meaning there.
 
-use crate::digest::{Digest, Hasher, UnorderedDigest};
+use crate::digest::{Digest, Hasher};
 use crate::StoreError;
-use extractor::csv::{from_csv, to_csv};
 use extractor::Value;
 use ion::analyzer::SystemParams;
 use ion::report::Diagnosis;
+
+/// Tag of the table artifact codec, part of every trace-meta key: a
+/// store written with another table codec is re-extracted once instead
+/// of read.
+pub(crate) const TABLE_CODEC: &str = "itb1";
 
 pub(crate) fn corrupt(what: &str) -> StoreError {
     StoreError::Corrupt(format!("malformed artifact: {what}"))
@@ -98,78 +102,19 @@ pub fn params_digest(p: &SystemParams) -> Digest {
 }
 
 // ---------------------------------------------------------------------
-// Table digests
+// Trace meta (fine-grained stage 1)
 // ---------------------------------------------------------------------
-
-/// Digest of one table: name and column set hash in order, rows fold
-/// unordered (parallel extraction may emit them in any order).
-#[must_use]
-pub fn table_digest(table: &extractor::Table) -> Digest {
-    let mut h = Hasher::new();
-    h.update(b"ion-store/table/1");
-    h.field(table.name.as_bytes());
-    for c in &table.columns {
-        h.field(c.name.as_bytes());
-    }
-    let mut rows = UnorderedDigest::new();
-    for row in table.iter_rows() {
-        let mut rh = Hasher::new();
-        for v in row.values() {
-            rh.field(v.to_string().as_bytes());
-        }
-        rows.absorb_digest(rh.finish());
-    }
-    h.update(&rows.finish().0);
-    h.finish()
-}
-
-// ---------------------------------------------------------------------
-// Per-module table artifacts + trace meta (fine-grained stage 1)
-// ---------------------------------------------------------------------
-
-/// Serialize one extracted table on its own — the per-module stage-1
-/// artifact. Issues that read only `POSIX` need never touch the bytes of
-/// `DXT`, and a green revalidation pass needs no table bytes at all
-/// (digests live in the [`TraceMeta`]).
-#[must_use]
-pub fn encode_table(table: &extractor::Table) -> Vec<u8> {
-    let csv = to_csv(table);
-    let mut out = Vec::with_capacity(csv.len() + 64);
-    out.extend_from_slice(b"ion-table v1\n");
-    out.extend_from_slice(format!("table {} {}\n", table.name, csv.len()).as_bytes());
-    out.extend_from_slice(csv.as_bytes());
-    out.push(b'\n');
-    out
-}
-
-/// Decode a single-table artifact.
-pub fn decode_table(bytes: &[u8]) -> Result<extractor::Table, StoreError> {
-    let mut rest = bytes;
-    if take_line(&mut rest)? != "ion-table v1" {
-        return Err(corrupt("bad table header"));
-    }
-    let spec = take_line(&mut rest)?
-        .strip_prefix("table ")
-        .ok_or_else(|| corrupt("expected table line"))?;
-    let (name, len) = spec
-        .rsplit_once(' ')
-        .ok_or_else(|| corrupt("bad table line"))?;
-    let len: usize = len.parse().map_err(|_| corrupt("bad table length"))?;
-    let name = name.to_owned();
-    let csv = std::str::from_utf8(take_payload(&mut rest, len)?)
-        .map_err(|_| corrupt("non-UTF-8 table payload"))?;
-    from_csv(&name, csv).map_err(|e| corrupt(&format!("table {name}: {e}")))
-}
 
 /// One per-module table in a [`TraceMeta`]: the module name, the schema
-/// version it was extracted under, and the content digest of its rows.
+/// version it was extracted under, and the digest of its artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableEntry {
     /// Module/table name (`POSIX`, `DXT`, …).
     pub name: String,
     /// Extraction schema version ([`extractor::schema::module_version`]).
     pub version: u32,
-    /// Content digest ([`table_digest`]) — what issue keys depend on.
+    /// SHA-256 of the table artifact — its object id, and what issue
+    /// keys depend on.
     pub digest: Digest,
 }
 
@@ -207,7 +152,7 @@ impl TraceMeta {
 #[must_use]
 pub fn encode_trace_meta(meta: &TraceMeta) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(b"ion-trace-meta v1\n");
+    out.extend_from_slice(b"ion-trace-meta v2\n");
     out.extend_from_slice(format!("params {}\n", params_line(&meta.params)).as_bytes());
     for t in &meta.tables {
         out.extend_from_slice(
@@ -220,7 +165,7 @@ pub fn encode_trace_meta(meta: &TraceMeta) -> Vec<u8> {
 /// Decode a [`TraceMeta`].
 pub fn decode_trace_meta(bytes: &[u8]) -> Result<TraceMeta, StoreError> {
     let mut rest = bytes;
-    if take_line(&mut rest)? != "ion-trace-meta v1" {
+    if take_line(&mut rest)? != "ion-trace-meta v2" {
         return Err(corrupt("bad trace-meta header"));
     }
     let params = parse_params(
@@ -371,7 +316,8 @@ pub fn decode_diagnosis(bytes: &[u8]) -> Result<Diagnosis, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extractor::{Table, TableSet};
+    use crate::digest::digest_bytes;
+    use extractor::{decode_table, encode_table, Table, TableSet};
 
     fn sample_tables() -> TableSet {
         let mut t = Table::new("POSIX", &["file_name", "rank", "POSIX_WRITES"]);
@@ -385,6 +331,10 @@ mod tests {
         set
     }
 
+    fn artifact_digest(t: &Table) -> Digest {
+        digest_bytes(&encode_table(t))
+    }
+
     #[test]
     fn params_line_is_bit_exact() {
         let p = SystemParams {
@@ -395,25 +345,21 @@ mod tests {
     }
 
     #[test]
-    fn table_digest_ignores_row_order() {
-        let mut a = Table::new("T", &["x"]);
-        a.push_row(vec![Value::Int(1)]);
-        a.push_row(vec![Value::Int(2)]);
-        let mut b = Table::new("T", &["x"]);
-        b.push_row(vec![Value::Int(2)]);
-        b.push_row(vec![Value::Int(1)]);
-        assert_eq!(table_digest(&a), table_digest(&b));
-    }
-
-    #[test]
-    fn table_digest_sees_content_and_schema() {
+    fn artifact_digest_sees_content_and_schema() {
         let mut a = Table::new("T", &["x"]);
         a.push_row(vec![Value::Int(1)]);
         let mut b = Table::new("T", &["x"]);
         b.push_row(vec![Value::Int(2)]);
-        assert_ne!(table_digest(&a), table_digest(&b));
+        assert_ne!(artifact_digest(&a), artifact_digest(&b));
         let c = Table::new("T", &["y"]);
-        assert_ne!(table_digest(&Table::new("T", &["x"])), table_digest(&c));
+        assert_ne!(
+            artifact_digest(&Table::new("T", &["x"])),
+            artifact_digest(&c)
+        );
+        assert_ne!(
+            artifact_digest(&Table::new("U", &["y"])),
+            artifact_digest(&c)
+        );
     }
 
     #[test]
@@ -435,9 +381,10 @@ mod tests {
     fn single_table_round_trip() {
         let tables = sample_tables();
         let posix = tables.get("POSIX").unwrap();
-        let back = decode_table(&encode_table(posix)).unwrap();
+        let bytes = encode_table(posix);
+        let back = decode_table(&bytes).unwrap();
         assert_eq!(&back, posix);
-        assert_eq!(table_digest(&back), table_digest(posix));
+        assert_eq!(encode_table(&back), bytes);
     }
 
     #[test]
@@ -455,7 +402,7 @@ mod tests {
                 .map(|(name, t)| TableEntry {
                     name: (*name).to_owned(),
                     version: 1,
-                    digest: table_digest(t),
+                    digest: artifact_digest(t),
                 })
                 .collect(),
         };
@@ -463,7 +410,7 @@ mod tests {
         assert_eq!(back, meta);
         assert_eq!(
             back.digest_of("POSIX"),
-            Some(table_digest(tables.get("POSIX").unwrap()))
+            Some(artifact_digest(tables.get("POSIX").unwrap()))
         );
         assert!(back.has_module("DXT"));
         assert!(!back.has_module("MPIIO"));
@@ -477,11 +424,13 @@ mod tests {
         for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_table(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        assert!(decode_trace_meta(b"ion-trace-meta v2\n").is_err());
-        assert!(decode_trace_meta(b"ion-trace-meta v1\nparams 1 2 3 zz\n").is_err());
+        let params = "params 1 2 3 0000000000000000\n";
+        assert!(decode_trace_meta(format!("ion-trace-meta v1\n{params}").as_bytes()).is_err());
+        assert!(decode_trace_meta(format!("ion-trace-meta v3\n{params}").as_bytes()).is_err());
+        assert!(decode_trace_meta(format!("ion-trace-meta v2\n{params}").as_bytes()).is_ok());
+        assert!(decode_trace_meta(b"ion-trace-meta v2\nparams 1 2 3 zz\n").is_err());
         assert!(
-            decode_trace_meta(b"ion-trace-meta v1\nparams 1 2 3 0000000000000000\ntable X\n")
-                .is_err()
+            decode_trace_meta(format!("ion-trace-meta v2\n{params}table X\n").as_bytes()).is_err()
         );
     }
 

@@ -7,15 +7,10 @@
 //! versions and worker counts — a digest written on one machine must
 //! address the same artifact on another.
 //!
-//! Two combinators matter for keying:
-//!
-//! * [`Hasher`] — ordered streaming SHA-256, used where byte order *is*
-//!   meaning (context texts, serialized artifacts).
-//! * [`UnorderedDigest`] — a commutative fold of per-item digests, used
-//!   where the pipeline may legally produce items in any order (table
-//!   rows materialized by parallel extraction). Reordering items leaves
-//!   the digest unchanged; changing, adding or removing any item changes
-//!   it.
+//! [`Hasher`] is ordered streaming SHA-256; [`Hasher::field`] frames
+//! variable-length inputs so adjacent fields cannot run together. A
+//! table's digest needs nothing extra: its artifact encoding is
+//! canonical, so the artifact's object id is its content digest.
 
 use std::fmt;
 
@@ -282,59 +277,6 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
     h.finish()
 }
 
-/// Commutative fold of item digests: per-lane wrapping sums over the
-/// digest words plus an item count. Insensitive to item order, sensitive
-/// to item content and multiplicity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UnorderedDigest {
-    lanes: [u64; 4],
-    count: u64,
-}
-
-impl UnorderedDigest {
-    /// Empty accumulator.
-    #[must_use]
-    pub fn new() -> UnorderedDigest {
-        UnorderedDigest::default()
-    }
-
-    /// Fold one item's bytes in (digested first, so similar items do not
-    /// cancel linearly).
-    pub fn absorb(&mut self, item: &[u8]) {
-        self.absorb_digest(digest_bytes(item));
-    }
-
-    /// Fold a pre-computed item digest in.
-    pub fn absorb_digest(&mut self, d: Digest) {
-        for (lane, chunk) in self.lanes.iter_mut().zip(d.0.chunks_exact(8)) {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            *lane = lane.wrapping_add(u64::from_be_bytes(word));
-        }
-        self.count = self.count.wrapping_add(1);
-    }
-
-    /// Merge another accumulator (for per-worker partial folds).
-    pub fn merge(&mut self, other: &UnorderedDigest) {
-        for (lane, o) in self.lanes.iter_mut().zip(other.lanes) {
-            *lane = lane.wrapping_add(o);
-        }
-        self.count = self.count.wrapping_add(other.count);
-    }
-
-    /// Collapse to a digest.
-    #[must_use]
-    pub fn finish(&self) -> Digest {
-        let mut h = Hasher::new();
-        h.update(b"ion-store/unordered/1");
-        for lane in self.lanes {
-            h.update(&lane.to_be_bytes());
-        }
-        h.update(&self.count.to_be_bytes());
-        h.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,46 +345,5 @@ mod tests {
         let d = digest_bytes(b"round trip");
         assert_eq!(Digest::from_hex(&d.hex()), Some(d));
         assert!(Digest::from_hex("zz").is_none());
-    }
-
-    #[test]
-    fn unordered_is_order_insensitive() {
-        let mut a = UnorderedDigest::new();
-        a.absorb(b"row1");
-        a.absorb(b"row2");
-        a.absorb(b"row3");
-        let mut b = UnorderedDigest::new();
-        b.absorb(b"row3");
-        b.absorb(b"row1");
-        b.absorb(b"row2");
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn unordered_is_content_and_multiplicity_sensitive() {
-        let mut a = UnorderedDigest::new();
-        a.absorb(b"row1");
-        let mut b = UnorderedDigest::new();
-        b.absorb(b"row1");
-        b.absorb(b"row1");
-        assert_ne!(a.finish(), b.finish());
-        let mut c = UnorderedDigest::new();
-        c.absorb(b"row2");
-        assert_ne!(a.finish(), c.finish());
-    }
-
-    #[test]
-    fn unordered_merge_matches_sequential() {
-        let mut whole = UnorderedDigest::new();
-        whole.absorb(b"a");
-        whole.absorb(b"b");
-        whole.absorb(b"c");
-        let mut left = UnorderedDigest::new();
-        left.absorb(b"c");
-        let mut right = UnorderedDigest::new();
-        right.absorb(b"a");
-        right.absorb(b"b");
-        left.merge(&right);
-        assert_eq!(whole.finish(), left.finish());
     }
 }

@@ -2,20 +2,27 @@
 //! through the store, revalidated red-green at statement granularity.
 //!
 //! Stage 1 (extraction) is keyed per module. One *meta* record per trace
-//! lists the derived parameters and a content digest per recorded table,
-//! with the table bytes in separate per-module artifacts:
+//! lists the derived parameters and the artifact digest of each recorded
+//! table, with the table bytes in separate per-module artifacts in the
+//! extractor's chunk codec:
 //!
 //! ```text
-//! trace/<digest>/meta/<schema fingerprint>   → TraceMeta
-//! trace/<digest>/table/<module>/<version>-<content digest> → one table
+//! trace/<digest>/meta/<table codec>-<schema fingerprint> → TraceMeta
+//! trace/<digest>/table/<module>/<version>                → one table
 //! ```
 //!
-//! Warm paths read only the meta — digests are enough to prove every
-//! downstream analysis green, so re-serving a warm report decodes zero
-//! table rows. Bumping one module's schema version changes the schema
-//! fingerprint and re-runs extraction once, but the re-extracted content
-//! digests hash equal, so every dependent diagnosis stays green with
-//! zero model runs (early cutoff at the extraction boundary).
+//! A table's encoding is canonical, so the digest `Store::put` returns
+//! for its artifact is its content digest: one hash per table. Warm paths
+//! read only the meta — digests are enough to prove every downstream
+//! analysis green, so re-serving a warm report decodes zero table rows.
+//! A cold pass analyzes the tables it just extracted, and a red pass
+//! decodes each module's artifact once, shared by every issue worker.
+//! Bumping one module's schema version changes the schema fingerprint
+//! and re-runs extraction once, but the re-extracted artifacts hash
+//! equal, so every dependent diagnosis stays green with zero model runs
+//! (early cutoff at the extraction boundary). Writing a new meta drops
+//! the trace's older stage-1 bindings, so `Store::gc` reclaims tables
+//! written under another schema or table codec.
 //!
 //! Stage 2 (per-issue analysis) is not looked up by one monolithic key.
 //! Each analysis leaves an identity-keyed [`IssueMemo`] recording the
@@ -42,15 +49,15 @@
 //! text, so the summary stays warm through cosmetic context edits.
 
 use crate::codec::{
-    decode_diagnosis, decode_table, decode_trace_meta, encode_diagnosis, encode_table,
-    encode_trace_meta, params_digest, table_digest, TableEntry, TraceMeta,
+    corrupt, decode_diagnosis, decode_trace_meta, encode_diagnosis, encode_trace_meta,
+    params_digest, TableEntry, TraceMeta, TABLE_CODEC,
 };
 use crate::digest::{digest_bytes, Digest, Hasher};
 use crate::memo::{decode_memo, encode_memo, Durability, IssueMemo, StatementDep};
 use crate::store::Store;
 use crate::StoreError;
 use darshan::log::LogReader;
-use extractor::{extract_tables, Table, TableSet};
+use extractor::{decode_table, encode_table, extract_tables, Table, TableSet};
 use ion::analyzer::{applicable_contexts, Analyzer, SystemParams};
 use ion::context::builtin_contexts;
 use ion::pipeline::{IonPipeline, IonReport};
@@ -115,13 +122,8 @@ fn statements_for(context: &IssueContext) -> (String, Arc<ContextStatements>) {
 }
 
 /// Manifest key of one per-module table artifact.
-fn table_key(trace_hex: &str, entry: &TableEntry) -> String {
-    format!(
-        "trace/{trace_hex}/table/{}/{}-{}",
-        entry.name,
-        entry.version,
-        entry.digest.hex()
-    )
+fn table_key(trace_hex: &str, module: &str, version: u32) -> String {
+    format!("trace/{trace_hex}/table/{module}/{version}")
 }
 
 fn extract_from_bytes(bytes: &[u8]) -> Result<(TableSet, SystemParams), StoreError> {
@@ -143,32 +145,38 @@ fn skeleton_tables(meta: &TraceMeta) -> TableSet {
     set
 }
 
-/// Table bytes, loaded at most once per run and only when a cold or red
-/// path actually needs rows (green and backdated paths never do).
+/// The trace's tables, resolved at most once per run and only when a
+/// cold or red path actually needs rows (green and backdated paths never
+/// do). A cold pass seeds the cell with the tables it just extracted;
+/// otherwise the first caller decodes the artifacts while concurrent
+/// issue workers wait on the cell.
 struct LazyTables<'a> {
     store: &'a Store,
     bytes: &'a [u8],
     trace_hex: &'a str,
     meta: &'a TraceMeta,
-    cell: OnceLock<TableSet>,
+    cell: OnceLock<Result<TableSet, StoreError>>,
 }
 
 impl LazyTables<'_> {
     fn get(&self) -> Result<&TableSet, StoreError> {
-        if let Some(tables) = self.cell.get() {
-            return Ok(tables);
-        }
-        let loaded = self.load()?;
-        Ok(self.cell.get_or_init(|| loaded))
+        self.cell
+            .get_or_init(|| self.load())
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     fn load(&self) -> Result<TableSet, StoreError> {
         let mut set = TableSet::default();
         for entry in &self.meta.tables {
-            let Some(artifact) = self.store.get(&table_key(self.trace_hex, entry))? else {
+            let key = table_key(self.trace_hex, &entry.name, entry.version);
+            let Some(artifact) = self.store.get(&key)? else {
                 return self.reextract();
             };
-            set.insert(decode_table(&artifact)?);
+            ion_obs::counter("store.table.decodes", 1);
+            let table = decode_table(&artifact)
+                .map_err(|e| corrupt(&format!("table {}: {e}", entry.name)))?;
+            set.insert(table);
         }
         Ok(set)
     }
@@ -180,8 +188,10 @@ impl LazyTables<'_> {
         let (tables, _params) = extract_from_bytes(self.bytes)?;
         for entry in &self.meta.tables {
             if let Some(table) = tables.get(&entry.name) {
-                self.store
-                    .put(&table_key(self.trace_hex, entry), &encode_table(table))?;
+                self.store.put(
+                    &table_key(self.trace_hex, &entry.name, entry.version),
+                    &encode_table(table),
+                )?;
             }
         }
         Ok(tables)
@@ -326,32 +336,37 @@ impl<'m> StoredPipeline<'m> {
     ) -> Result<IonReport, StoreError> {
         let trace_hex = trace_digest.hex();
 
-        // Stage 1 — decode + extract, keyed per module under a schema
-        // fingerprint. The meta alone (params + per-table digests) feeds
-        // every warm path; table bytes load lazily below.
-        let schema_fp = extractor::schema::schema_fingerprint();
-        let meta_key = format!("trace/{trace_hex}/meta/{schema_fp}");
+        // Stage 1 — decode + extract, keyed per module under the table
+        // codec and a schema fingerprint. The meta alone (params +
+        // per-table digests) feeds every warm path; table bytes load
+        // lazily below, except on a cold pass, which keeps what it just
+        // extracted.
+        let meta_key = format!(
+            "trace/{trace_hex}/meta/{TABLE_CODEC}-{}",
+            extractor::schema::schema_fingerprint()
+        );
+        let mut extracted = None;
         let meta_artifact = self.store.get_or_compute(&meta_key, || {
             ion_obs::counter("store.recompute.trace", 1);
             let mut span = ion_obs::span!("store.recompute", stage = "trace");
             span.attr("trace", trace_digest.short());
             let (tables, derived) = extract_from_bytes(bytes)?;
+            // The new meta supersedes every stage-1 binding this trace
+            // had (another schema or table codec); gc reclaims them.
+            self.store.unbind_prefix(&format!("trace/{trace_hex}/"))?;
             let mut entries = Vec::new();
             for (name, table) in tables.iter() {
-                let entry = TableEntry {
+                let version = extractor::schema::module_version(name);
+                let digest = self
+                    .store
+                    .put(&table_key(&trace_hex, name, version), &encode_table(table))?;
+                entries.push(TableEntry {
                     name: (*name).to_owned(),
-                    version: extractor::schema::module_version(name),
-                    digest: table_digest(table),
-                };
-                // A schema bump re-keys the meta but re-extracted content
-                // usually hashes equal: only write table bytes that are
-                // actually new (early cutoff starts here).
-                let key = table_key(&trace_hex, &entry);
-                if self.store.get(&key)?.is_none() {
-                    self.store.put(&key, &encode_table(table))?;
-                }
-                entries.push(entry);
+                    version,
+                    digest,
+                });
             }
+            extracted = Some(Ok(tables));
             Ok(encode_trace_meta(&TraceMeta {
                 params: derived,
                 tables: entries,
@@ -365,7 +380,7 @@ impl<'m> StoredPipeline<'m> {
             bytes,
             trace_hex: &trace_hex,
             meta: &meta,
-            cell: OnceLock::new(),
+            cell: extracted.map(OnceLock::from).unwrap_or_default(),
         };
         let skeleton = skeleton_tables(&meta);
 

@@ -9,10 +9,11 @@
 //! stage's true inputs, in the spirit of salsa's dependency-keyed
 //! memoization for compilers:
 //!
-//! * `trace/<digest>/meta/<schema fingerprint>` → per-module table
-//!   digests + derived parameters (memoizes Darshan decode +
-//!   extraction), with the table bytes in per-module
-//!   `trace/<digest>/table/<module>/…` artifacts;
+//! * `trace/<digest>/meta/<table codec>-<schema fingerprint>` →
+//!   per-module table digests + derived parameters (memoizes Darshan
+//!   decode + extraction), with the table bytes in per-module
+//!   `trace/<digest>/table/<module>/<version>` artifacts in the
+//!   extractor's chunk codec, each digested by the hash of its bytes;
 //! * `diag/<id>/<model>/<input fingerprint>` → one diagnosis (memoizes
 //!   a model run), where the fingerprint folds the parameters, the
 //!   per-module table digests the issue maps to, and the context's

@@ -152,9 +152,11 @@ impl ChunkPager for SpillDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::table_digest;
-    use extractor::{ChunkedTableBuilder, Table, Value};
+    use darshan::log::LogWriter;
+    use extractor::{encode_table, extract_stream, extract_tables, ChunkedTableBuilder};
+    use extractor::{Table, TableSet, Value, DEFAULT_CHUNK_ROWS};
     use std::sync::Arc;
+    use workloads::Workload;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ion-spill-{name}-{}", std::process::id()));
@@ -189,9 +191,66 @@ mod tests {
             assert_eq!(a.to_vec(), b.to_vec());
         }
         // Digest stability: a table rebuilt through compressed, spilled
-        // chunks hashes identically, so warm stores stay warm.
-        assert_eq!(table_digest(&spilled), table_digest(&plain));
+        // chunks encodes to the same artifact, so warm stores stay warm.
+        assert_eq!(encode_table(&spilled), encode_table(&plain));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The Figure 2 and Figure 3 traces at the scales of the golden
+    /// report tests.
+    fn figure_traces() -> Vec<(&'static str, Box<dyn Workload>)> {
+        use workloads::e2e::{E2e, E2eVariant};
+        use workloads::ior;
+        use workloads::mdworkbench::MdWorkbench;
+        use workloads::openpmd::{OpenPmd, OpenPmdVariant};
+        vec![
+            ("ior-easy-2k", Box::new(ior::ior_easy_2kb_shared(0.25))),
+            ("ior-easy-1m", Box::new(ior::ior_easy_1mb_shared(0.25))),
+            ("ior-easy-1m-fpp", Box::new(ior::ior_easy_1mb_fpp(0.25))),
+            ("ior-hard", Box::new(ior::ior_hard(0.01))),
+            ("ior-rnd4k", Box::new(ior::ior_rnd4k(0.05))),
+            ("mdworkbench", Box::new(MdWorkbench::scaled(0.5))),
+            (
+                "openpmd",
+                Box::new(OpenPmd::scaled(OpenPmdVariant::Baseline, 0.02)),
+            ),
+            (
+                "openpmd-opt",
+                Box::new(OpenPmd::scaled(OpenPmdVariant::Optimized, 0.05)),
+            ),
+            ("e2e", Box::new(E2e::scaled(E2eVariant::Baseline, 0.03))),
+            (
+                "e2e-opt",
+                Box::new(E2e::scaled(E2eVariant::Optimized, 0.25)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_ingest_path_yields_byte_identical_table_artifacts() {
+        let dir = scratch("figures");
+        for (name, workload) in figure_traces() {
+            let log = workload.generate();
+            let bytes = LogWriter::from_log(log.clone()).finish().unwrap();
+            let batch = extract_tables(&log);
+            let stream = |rows, pager| extract_stream(&bytes[..], rows, pager).unwrap().tables;
+            let pager: Arc<dyn ChunkPager> = Arc::new(SpillDir::new(&dir));
+            let paths: [(&str, TableSet); 3] = [
+                ("1-row chunks", stream(1, None)),
+                ("default chunks", stream(DEFAULT_CHUNK_ROWS, None)),
+                ("spilled 7-row chunks", stream(7, Some(pager))),
+            ];
+            for (path, tables) in &paths {
+                assert_eq!(tables.names(), batch.names(), "{name} via {path}");
+                for (module, table) in batch.iter() {
+                    assert!(
+                        encode_table(table) == encode_table(tables.get(module).unwrap()),
+                        "{name} via {path}: {module} artifact differs from batch"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

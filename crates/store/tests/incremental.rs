@@ -367,3 +367,117 @@ fn gc_removes_only_artifacts_orphaned_by_rebinding() {
 
     let _ = std::fs::remove_dir_all(root);
 }
+
+#[test]
+fn cold_pass_decodes_no_tables_and_a_red_pass_decodes_each_module_once() {
+    let _sink = obs_guard();
+    let bytes = trace_bytes();
+    let root = tmp_dir("decodes");
+    let store = Arc::new(Store::open(&root).unwrap());
+    let two_wide = || ion_exec::Batch::new().with_width(2);
+
+    // Cold: the issues analyze the tables just extracted.
+    let cold_driver = StoredPipeline::new(Arc::clone(&store)).with_exec(two_wide());
+    let (cold, cold_snap) = counted(|| cold_driver.analyze_bytes(&bytes).unwrap());
+    assert_eq!(cold_snap.counter("store.recompute.trace"), 1);
+    assert_eq!(cold_snap.counter("store.table.decodes"), 0);
+
+    // Red: a prose edit to every context re-runs every issue, two at a
+    // time; they share one load of the table artifacts.
+    let mut contexts = builtin_contexts();
+    for context in &mut contexts {
+        context
+            .text
+            .push_str("\nOperators report this issue most often on weekly runs.\n");
+    }
+    let red_driver = StoredPipeline::new(Arc::clone(&store))
+        .with_pipeline(IonPipeline::new().with_contexts(contexts))
+        .with_exec(two_wide());
+    let (_, red_snap) = counted(|| red_driver.analyze_bytes(&bytes).unwrap());
+    assert_eq!(
+        red_snap.counter("store.revalidate.red"),
+        cold.diagnoses.len() as u64
+    );
+    assert!(cold.diagnoses.len() >= 2, "need concurrent red issues");
+    let log = darshan::log::LogReader::read(&bytes[..]).unwrap();
+    let modules = extractor::extract_tables(&log).names().len() as u64;
+    assert_eq!(
+        red_snap.counter("store.table.decodes"),
+        modules,
+        "each module's table decodes exactly once per red pass:\n{}",
+        red_snap.render_profile()
+    );
+    assert_eq!(red_snap.counter("store.recompute.trace"), 0);
+
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn store_written_with_csv_tables_self_heals_to_the_same_report() {
+    let _sink = obs_guard();
+    // Write what a store from before the chunk-codec tables holds for
+    // this trace: a v1 trace meta under the old key, and one
+    // `ion-table v1` CSV artifact per module.
+    let bytes = trace_bytes();
+    let root = tmp_dir("csv-store");
+    let store = Arc::new(Store::open(&root).unwrap());
+    let trace_hex = ion_store::digest_bytes(&bytes).hex();
+    let log = darshan::log::LogReader::read(&bytes[..]).unwrap();
+    let params = ion::analyzer::SystemParams::from_log(&log);
+    let mut meta = format!(
+        "ion-trace-meta v1\nparams {}\n",
+        ion_store::codec::params_line(&params)
+    );
+    let tables = extractor::extract_tables(&log);
+    let mut legacy_keys = Vec::new();
+    for (name, table) in tables.iter() {
+        let csv = extractor::csv::to_csv(table);
+        let artifact = format!("ion-table v1\ntable {name} {}\n{csv}\n", csv.len());
+        // Stand-in for the old row-fold digest: nothing reads it now.
+        let digest = ion_store::digest_bytes(artifact.as_bytes()).hex();
+        let version = extractor::schema::module_version(name);
+        let key = format!("trace/{trace_hex}/table/{name}/{version}-{digest}");
+        store.put(&key, artifact.as_bytes()).unwrap();
+        legacy_keys.push(key);
+        meta.push_str(&format!("table {name} {version} {digest}\n"));
+    }
+    let meta_key = format!(
+        "trace/{trace_hex}/meta/{}",
+        extractor::schema::schema_fingerprint()
+    );
+    store.put(&meta_key, meta.as_bytes()).unwrap();
+    legacy_keys.push(meta_key);
+
+    // The first run re-extracts once, without an error, and reports what
+    // the plain pipeline reports.
+    let driver = StoredPipeline::new(Arc::clone(&store));
+    let (healed, snap) = counted(|| driver.analyze_bytes(&bytes).unwrap());
+    let plain = IonPipeline::new().run_bytes(&bytes).unwrap();
+    assert_eq!(healed.render_text(), plain.render_text());
+    assert_eq!(healed.diagnoses, plain.diagnoses);
+    assert_eq!(snap.counter("store.recompute.trace"), 1);
+    assert_eq!(snap.counter("store.table.decodes"), 0);
+
+    // The old bindings are gone, so gc reclaims the CSV objects.
+    for key in &legacy_keys {
+        assert!(store.get(key).unwrap().is_none(), "{key} is still bound");
+    }
+    assert_eq!(
+        store.gc(false).unwrap().unreferenced.len(),
+        legacy_keys.len()
+    );
+
+    // The next run is all green.
+    let issues = healed.diagnoses.len() as u64;
+    let (warm, warm_snap) = counted(|| driver.analyze_bytes(&bytes).unwrap());
+    assert_eq!(warm, healed);
+    assert_eq!(warm_snap.counter("store.revalidate.green"), issues);
+    assert_eq!(warm_snap.counter("store.revalidate.red"), 0);
+    assert_eq!(warm_snap.counter("store.revalidate.backdated"), 0);
+    assert_eq!(warm_snap.counter("store.recompute.trace"), 0);
+    assert_eq!(warm_snap.counter("store.recompute.issue"), 0);
+    assert_eq!(warm_snap.counter("store.recompute.summary"), 0);
+    assert_eq!(warm_snap.counter("llm.runs"), 0);
+
+    let _ = std::fs::remove_dir_all(root);
+}

@@ -1,12 +1,11 @@
-//! Property-based tests for the store's keying primitives: dependency
-//! digests must ignore what the pipeline is allowed to vary (row order
-//! from parallel extraction) and notice everything else (any visible
-//! byte of a context, any byte of an artifact).
+//! Property-based tests for the store's keying primitives: a stored
+//! table reads back as the table that was written, and dependency
+//! digests notice every change that matters (any cell of a table, any
+//! visible byte of a context, any byte of an artifact).
 
-use extractor::{Table, Value};
+use extractor::{decode_table, encode_table, Table, Value};
 use ion::context::ContextRevision;
-use ion_store::codec::table_digest;
-use ion_store::digest::{digest_bytes, UnorderedDigest};
+use ion_store::digest::digest_bytes;
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -36,29 +35,24 @@ fn table_from(rows: &[Vec<Value>]) -> Table {
 }
 
 proptest! {
-    // Parallel extraction may materialize rows in any order; the table
-    // digest must not care. Rotations and reversals cover arbitrary
-    // permutations (they generate the symmetric group).
+    // A table artifact decodes to the table that was encoded (NaN-free
+    // cells, so `==` is the right comparison).
     #[test]
-    fn table_digest_ignores_row_order(rows in arb_rows(), rot in 0usize..12) {
-        let base = table_digest(&table_from(&rows));
-        let mut reversed = rows.clone();
-        reversed.reverse();
-        prop_assert_eq!(table_digest(&table_from(&reversed)), base);
-        if !rows.is_empty() {
-            let mut rotated = rows.clone();
-            rotated.rotate_left(rot % rows.len());
-            prop_assert_eq!(table_digest(&table_from(&rotated)), base);
-        }
+    fn table_artifact_round_trips(rows in arb_rows()) {
+        let table = table_from(&rows);
+        prop_assert_eq!(decode_table(&encode_table(&table)).unwrap(), table);
     }
 
-    // Dropping a row always changes the digest (multiplicity matters:
-    // a missing duplicate is a different table).
+    // Changing one cell, or dropping one row, always changes the artifact
+    // digest (multiplicity matters: a missing duplicate is a different
+    // table).
     #[test]
-    fn table_digest_sees_a_dropped_row(
+    fn artifact_digest_sees_a_changed_or_dropped_cell(
         first in proptest::collection::vec(arb_value(), 1..5),
         rest in arb_rows(),
         at in 0usize..12,
+        col in 0usize..5,
+        cell in arb_value(),
     ) {
         // At least one row, all the same width as `first`.
         let mut rows = vec![first.clone()];
@@ -66,10 +60,18 @@ proptest! {
             rest.into_iter()
                 .map(|r| (0..first.len()).map(|i| r.get(i).cloned().unwrap_or(Value::Null)).collect()),
         );
-        let base = table_digest(&table_from(&rows));
+        let digest = |rows: &[Vec<Value>]| digest_bytes(&encode_table(&table_from(rows)));
+        let base = digest(&rows);
+        let row = at % rows.len();
         let mut fewer = rows.clone();
-        fewer.remove(at % rows.len());
-        prop_assert_ne!(table_digest(&table_from(&fewer)), base);
+        fewer.remove(row);
+        prop_assert_ne!(digest(&fewer), base);
+        let mut changed = rows.clone();
+        let slot = &mut changed[row][col % first.len()];
+        if *slot != cell {
+            *slot = cell;
+            prop_assert_ne!(digest(&changed), base);
+        }
     }
 
     // Any visible insertion into a context text changes its revision —
@@ -112,35 +114,5 @@ proptest! {
         let i = at % bytes.len();
         flipped[i] ^= 1 << bit;
         prop_assert_ne!(digest_bytes(&flipped), digest_bytes(&bytes));
-    }
-
-    // The unordered fold is insensitive to absorption order and to how
-    // items are split across worker-local accumulators.
-    #[test]
-    fn unordered_fold_is_order_and_split_insensitive(
-        items in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..12),
-        split in 0usize..12,
-    ) {
-        let mut forward = UnorderedDigest::new();
-        for item in &items {
-            forward.absorb(item);
-        }
-        let mut backward = UnorderedDigest::new();
-        for item in items.iter().rev() {
-            backward.absorb(item);
-        }
-        prop_assert_eq!(forward.finish(), backward.finish());
-
-        let cut = split.min(items.len());
-        let mut left = UnorderedDigest::new();
-        for item in &items[..cut] {
-            left.absorb(item);
-        }
-        let mut right = UnorderedDigest::new();
-        for item in &items[cut..] {
-            right.absorb(item);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.finish(), forward.finish());
     }
 }
