@@ -9,15 +9,18 @@
 //! synthetic trace twice: once with the `ion-obs` sink disabled (the
 //! zero-cost path every library caller gets by default) and once with the
 //! sink enabled and a request trace installed, the way `ion-serve`
-//! executes every job. The comparison uses min-of-N per mode — the
-//! minimum is the least noise-sensitive statistic on a shared box — and
-//! enforces the acceptance gate: tracing may cost at most 5% over the
-//! disabled baseline. Every traced iteration must also produce a
-//! non-empty span tree whose spans all carry the installed trace id, so
-//! the harness cannot "pass" by accidentally measuring an uninstrumented
-//! run.
+//! executes every job. The legs run in interleaved pairs, alternating
+//! which mode goes first, and each leg repeats the pipeline a fixed
+//! number of times. The overhead is the median of the per-pair
+//! differences (traced − disabled) over the median disabled leg: noise
+//! on a shared box hits both legs of a pair alike and cancels in the
+//! difference, and the median ignores the pairs a burst hit anyway. The
+//! gate: tracing may cost at most 5% over the disabled baseline. Every
+//! traced run must also produce a non-empty span tree whose spans all
+//! carry the installed trace id, so the harness cannot "pass" by
+//! accidentally measuring an uninstrumented run.
 //!
-//! `--quick` shrinks the iteration count for CI smoke.
+//! `--quick` shrinks the pair count for CI smoke.
 
 use darshan::log::LogWriter;
 use ion::pipeline::IonPipeline;
@@ -39,22 +42,24 @@ fn trace_bytes() -> Vec<u8> {
     LogWriter::from_log(sim.finish()).finish().unwrap()
 }
 
-fn min_ns(samples: &[u64]) -> u64 {
-    samples.iter().copied().min().unwrap_or(u64::MAX)
+fn median(samples: &[i64]) -> i64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // Quick mode trims the iteration count for CI but not below what a
-    // stable min-of-N needs: 7 iterations left the gate at the mercy of
-    // scheduler noise (observed spread −1%..+5% on an idle box).
-    let (warmup, iters, max_overhead_pct) = if quick { (3, 15, 5.0) } else { (3, 21, 5.0) };
+    let (warmup, pairs, max_overhead_pct) = if quick { (3, 101, 5.0) } else { (3, 301, 5.0) };
+    // Pipeline runs per leg: a leg of a few milliseconds is long against
+    // timer and scheduler jitter, short against drift on the box.
+    let runs_per_leg = 4;
 
     let bytes = trace_bytes();
     let pipeline = IonPipeline::new();
     println!(
-        "═══ tracing overhead: {iters} iterations per mode over a {}-byte trace ═══\n",
+        "═══ tracing overhead: {pairs} interleaved pairs of {runs_per_leg}-run legs over a {}-byte trace ═══\n",
         bytes.len()
     );
 
@@ -76,62 +81,75 @@ fn main() {
         let _ = ion_obs::take_trace(ctx.trace);
     }
 
-    // Measure the two modes interleaved — disabled then traced inside
-    // every iteration — so slow drift on a shared box (thermal, noisy
-    // neighbors) hits both modes alike instead of biasing one phase.
-    let mut disabled_ns = Vec::with_capacity(iters);
-    let mut traced_ns = Vec::with_capacity(iters);
     let mut spans_per_run = 0usize;
     let mut misattributed = 0usize;
-    for _ in 0..iters {
-        // Disabled leg: the zero-cost path every library caller gets by
-        // default when nobody is watching.
+    // Disabled leg: the zero-cost path every library caller gets by
+    // default when nobody is watching.
+    let disabled_leg = || {
         ion_obs::disable();
         let t0 = Instant::now();
-        let report = pipeline.run_bytes(&bytes).expect("pipeline run");
-        disabled_ns.push(t0.elapsed().as_nanos() as u64);
-        assert_eq!(report.detected().len(), baseline_detected);
-
+        for _ in 0..runs_per_leg {
+            let report = pipeline.run_bytes(&bytes).expect("pipeline run");
+            assert_eq!(report.detected().len(), baseline_detected);
+        }
+        t0.elapsed().as_nanos() as i64
+    };
+    let mut disabled_ns = Vec::with_capacity(pairs);
+    let mut traced_ns = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
         // Traced leg: sink enabled with a request trace installed —
         // exactly how an ion-serve worker executes a job.
-        ion_obs::enable();
-        let ctx = ion_obs::mint_trace();
-        let t0 = Instant::now();
-        let report = {
-            let _scope = ion_obs::install_trace(ctx);
-            pipeline.run_bytes(&bytes).expect("pipeline run")
+        let mut traced_leg = || {
+            ion_obs::enable();
+            let mut elapsed = 0i64;
+            for _ in 0..runs_per_leg {
+                let ctx = ion_obs::mint_trace();
+                let t0 = Instant::now();
+                let report = {
+                    let _scope = ion_obs::install_trace(ctx);
+                    pipeline.run_bytes(&bytes).expect("pipeline run")
+                };
+                elapsed += t0.elapsed().as_nanos() as i64;
+                let spans = ion_obs::take_trace(ctx.trace);
+                spans_per_run = spans.len();
+                misattributed += spans.iter().filter(|s| s.trace != ctx.trace).count();
+                assert_eq!(
+                    report.detected().len(),
+                    baseline_detected,
+                    "tracing must not change analysis results"
+                );
+            }
+            elapsed
         };
-        traced_ns.push(t0.elapsed().as_nanos() as u64);
-        let spans = ion_obs::take_trace(ctx.trace);
-        spans_per_run = spans.len();
-        misattributed += spans.iter().filter(|s| s.trace != ctx.trace).count();
-        assert_eq!(
-            report.detected().len(),
-            baseline_detected,
-            "tracing must not change analysis results"
-        );
+        if pair % 2 == 0 {
+            disabled_ns.push(disabled_leg());
+            traced_ns.push(traced_leg());
+        } else {
+            traced_ns.push(traced_leg());
+            disabled_ns.push(disabled_leg());
+        }
     }
+    ion_obs::disable();
 
-    let base = min_ns(&disabled_ns);
-    let traced = min_ns(&traced_ns);
+    let diffs: Vec<i64> = traced_ns
+        .iter()
+        .zip(&disabled_ns)
+        .map(|(t, d)| t - d)
+        .collect();
+    let base = median(&disabled_ns);
     #[allow(clippy::cast_precision_loss)]
-    let overhead_pct = (traced as f64 - base as f64) / base as f64 * 100.0;
+    let overhead_pct = median(&diffs) as f64 / base as f64 * 100.0;
 
     #[allow(clippy::cast_precision_loss)]
     {
-        println!("{:<10} {:>12} {:>12}", "mode", "min (ms)", "median (ms)");
-        for (name, samples) in [("disabled", &mut disabled_ns), ("traced", &mut traced_ns)] {
-            samples.sort_unstable();
-            println!(
-                "{:<10} {:>12.3} {:>12.3}",
-                name,
-                samples[0] as f64 / 1e6,
-                samples[samples.len() / 2] as f64 / 1e6
-            );
-        }
+        let ms = |ns: i64| ns as f64 / 1e6 / f64::from(runs_per_leg);
+        println!("{:<10} {:>14}", "mode", "median (ms/run)");
+        println!("{:<10} {:>14.3}", "disabled", ms(base));
+        println!("{:<10} {:>14.3}", "traced", ms(median(&traced_ns)));
+        println!("{:<10} {:>14.3}", "difference", ms(median(&diffs)));
     }
     println!(
-        "\ntracing overhead {overhead_pct:+.2}% (min-of-{iters}), {spans_per_run} span(s) per run"
+        "\ntracing overhead {overhead_pct:+.2}% (median of {pairs} paired differences), {spans_per_run} span(s) per run"
     );
 
     // Acceptance gates.

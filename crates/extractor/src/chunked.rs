@@ -2,7 +2,7 @@
 //! they seal, optionally spilled to a pager and reassembled at finish.
 //!
 //! The streaming extractor appends rows to a [`ChunkedTableBuilder`]
-//! instead of a [`Table`]. Every `chunk_rows` rows the builder seals the
+//! instead of a dense table. Every `chunk_rows` rows the builder seals the
 //! open chunk: each column is re-encoded via
 //! [`ColumnData::compressed`] and either appended to the in-memory
 //! accumulator or handed to a [`ChunkPager`] (e.g. `ion-store`'s spill
@@ -17,6 +17,7 @@
 //! bytes whichever path built them. `ion-store` keeps every extracted
 //! table as such an artifact, addressed by the hash of those bytes.
 
+use crate::builder::ColumnBuilder;
 use crate::table::{Bitmap, ColumnData, Table, Value};
 use std::io;
 use std::sync::Arc;
@@ -57,8 +58,8 @@ pub struct ChunkedTableBuilder {
     name: String,
     columns: Vec<String>,
     chunk_rows: usize,
-    current: Vec<ColumnData>,
-    current_rows: usize,
+    open: ColumnBuilder,
+    open_rows: usize,
     acc: Vec<ColumnData>,
     spilled: Vec<ChunkTicket>,
     chunks_sealed: usize,
@@ -91,8 +92,8 @@ impl ChunkedTableBuilder {
             name: name.to_owned(),
             columns: columns.iter().map(|&c| c.to_owned()).collect(),
             chunk_rows,
-            current: columns.iter().map(|_| ColumnData::empty()).collect(),
-            current_rows: 0,
+            open: ColumnBuilder::new(columns.len()),
+            open_rows: 0,
             acc: columns.iter().map(|_| ColumnData::empty()).collect(),
             spilled: Vec::new(),
             chunks_sealed: 0,
@@ -125,36 +126,28 @@ impl ChunkedTableBuilder {
         &self.name
     }
 
-    /// Rows pushed so far.
+    /// Rows closed so far.
     #[must_use]
     pub fn rows(&self) -> usize {
         self.total_rows
     }
 
-    /// Append one row; seals the open chunk when it reaches the budget.
+    /// The open row's columns: append one cell to each, then close the
+    /// row with [`end_row`](Self::end_row).
+    pub fn cells(&mut self) -> &mut ColumnBuilder {
+        &mut self.open
+    }
+
+    /// Close the row whose cells were just appended; seals the open
+    /// chunk when it reaches the budget.
     ///
     /// # Errors
     ///
     /// Propagates pager failures when a sealed chunk spills.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the row width does not match the column count.
-    pub fn push_row(&mut self, row: Vec<Value>) -> io::Result<()> {
-        assert_eq!(
-            row.len(),
-            self.columns.len(),
-            "row width {} != column count {} in table {}",
-            row.len(),
-            self.columns.len(),
-            self.name
-        );
-        for (col, v) in self.current.iter_mut().zip(row) {
-            col.push(v);
-        }
-        self.current_rows += 1;
+    pub fn end_row(&mut self) -> io::Result<()> {
+        self.open_rows += 1;
         self.total_rows += 1;
-        if self.current_rows >= self.chunk_rows {
+        if self.open_rows >= self.chunk_rows {
             self.seal()?;
         }
         Ok(())
@@ -163,16 +156,17 @@ impl ChunkedTableBuilder {
     /// Seal the open chunk: compress its columns and either spill them
     /// or fold them into the in-memory accumulator.
     fn seal(&mut self) -> io::Result<()> {
-        if self.current_rows == 0 {
+        if self.open_rows == 0 {
             return Ok(());
         }
-        let rows = self.current_rows;
+        let rows = self.open_rows;
         let chunk: Vec<ColumnData> = self
-            .current
-            .iter_mut()
-            .map(|c| std::mem::take(c).compressed())
+            .open
+            .take_chunk()
+            .into_iter()
+            .map(ColumnData::compressed)
             .collect();
-        self.current_rows = 0;
+        self.open_rows = 0;
         if let Some(pager) = &self.pager {
             let bytes = encode_chunk(&chunk);
             let mut ticket = pager.spill(&self.name, self.chunks_sealed, &bytes)?;
@@ -709,6 +703,13 @@ mod tests {
 
     const COLS: [&str; 4] = ["run", "grp", "name", "seq"];
 
+    fn push(b: &mut ChunkedTableBuilder, row: Vec<Value>) {
+        for (c, v) in row.into_iter().enumerate() {
+            b.cells().value(c, v);
+        }
+        b.end_row().unwrap();
+    }
+
     fn plain_table(rows: usize) -> Table {
         let mut t = Table::new("T", &COLS);
         for i in 0..rows {
@@ -723,7 +724,7 @@ mod tests {
         for rows in [0usize, 1, 15, 16, 17, 100] {
             let mut b = ChunkedTableBuilder::new("T", &COLS, 16);
             for i in 0..rows {
-                b.push_row(sample_row(i)).unwrap();
+                push(&mut b, sample_row(i));
             }
             assert_eq!(b.rows(), rows);
             let t = b.finish().unwrap();
@@ -735,7 +736,7 @@ mod tests {
     fn sealed_chunks_compress() {
         let mut b = ChunkedTableBuilder::new("T", &COLS, 50);
         for i in 0..100 {
-            b.push_row(sample_row(i)).unwrap();
+            push(&mut b, sample_row(i));
         }
         let t = b.finish().unwrap();
         assert!(matches!(t.column(0), Some(ColumnData::RleInt { .. })));
@@ -776,7 +777,7 @@ mod tests {
         let pager = Arc::new(MemPager::default());
         let mut b = ChunkedTableBuilder::with_pager("T", &COLS, 16, pager.clone());
         for i in 0..100 {
-            b.push_row(sample_row(i)).unwrap();
+            push(&mut b, sample_row(i));
         }
         // 6 full chunks of 16 plus the final partial chunk of 4.
         let t = b.finish().unwrap();

@@ -1,18 +1,20 @@
 //! The extractor: Darshan [`Log`] → per-module [`Table`]s.
 
+use crate::builder::ColumnBuilder;
 use crate::chunked::ChunkedTableBuilder;
 use crate::table::{Table, Value};
 use darshan::counters::{
     LustreCounter, MpiioCounter, MpiioFCounter, PosixCounter, PosixFCounter, StdioCounter,
     StdioFCounter,
 };
-use darshan::dxt::{DxtRecord, DxtSegment, OpKind};
+use darshan::dxt::{DxtRecord, OpKind};
 use darshan::heatmap::HeatmapRecord;
 use darshan::log::Log;
 use darshan::records::LustreRecord;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::io;
+use std::sync::Arc;
 
 /// The set of tables the extractor produces for one log.
 #[derive(Debug, Clone, Default)]
@@ -120,100 +122,166 @@ fn lustre_columns() -> Vec<&'static str> {
     cols
 }
 
-fn id_cells(path: Option<&str>, file_id: u64, rank: i32) -> Vec<Value> {
-    vec![
-        Value::Int(file_id as i64),
-        Value::Str(path.unwrap_or("<unknown>").into()),
-        Value::Int(i64::from(rank)),
-    ]
+/// `file_name` of a record whose id the name table does not list.
+const UNKNOWN_PATH: &str = "<unknown>";
+
+/// The `ID_COLUMNS` cells of a counter-table row.
+fn id_cells(cells: &mut ColumnBuilder, path: Option<&str>, file_id: u64, rank: i32) {
+    cells.int(0, file_id as i64);
+    let path = cells.code(1, path.unwrap_or(UNKNOWN_PATH));
+    cells.coded(1, path);
+    cells.int(2, i64::from(rank));
 }
 
 /// One row of a counter table (`POSIX`/`MPIIO`/`STDIO`).
-fn counter_row(
+fn counter_row<S: TableSink>(
+    t: &mut S,
     file_id: u64,
     rank: i32,
     path: Option<&str>,
     counters: &[i64],
     fcounters: &[f64],
-) -> Vec<Value> {
-    let mut row = id_cells(path, file_id, rank);
-    row.extend(counters.iter().map(|&c| Value::Int(c)));
-    row.extend(fcounters.iter().map(|&f| Value::Float(f)));
-    row
+) -> Result<(), S::Error> {
+    let cells = t.cells();
+    id_cells(cells, path, file_id, rank);
+    let first = ID_COLUMNS.len();
+    for (i, &c) in counters.iter().enumerate() {
+        cells.int(first + i, c);
+    }
+    for (i, &f) in fcounters.iter().enumerate() {
+        cells.float(first + counters.len() + i, f);
+    }
+    t.end_row()
 }
 
 /// One `LUSTRE` table row.
-fn lustre_row(r: &LustreRecord, path: Option<&str>) -> Vec<Value> {
-    let mut row = id_cells(path, r.file_id, r.rank);
-    row.extend(r.counters.iter().map(|&c| Value::Int(c)));
-    let ids: Vec<String> = r.ost_ids.iter().map(ToString::to_string).collect();
-    row.push(Value::Str(ids.join(" ").into()));
-    row
-}
-
-/// One `HEATMAP` table row (one per time bin of a record).
-fn heatmap_row(r: &HeatmapRecord, bin: usize, rd: u64, wr: u64) -> Vec<Value> {
-    vec![
-        Value::Int(i64::from(r.rank)),
-        Value::Int(bin as i64),
-        Value::Float(bin as f64 * r.bin_width),
-        Value::Float((bin + 1) as f64 * r.bin_width),
-        Value::Int(rd as i64),
-        Value::Int(wr as i64),
-    ]
-}
-
-/// One `DXT` table row (one per traced operation of a record).
-fn dxt_row(
-    r: &DxtRecord,
+fn lustre_row<S: TableSink>(
+    t: &mut S,
+    r: &LustreRecord,
     path: Option<&str>,
-    seg_no: usize,
-    kind: OpKind,
-    s: &DxtSegment,
-) -> Vec<Value> {
-    vec![
-        Value::Int(r.file_id as i64),
-        Value::Str(path.unwrap_or("<unknown>").into()),
-        Value::Int(i64::from(r.rank)),
-        Value::Str(r.layer.name().into()),
-        Value::Str(kind.name().into()),
-        Value::Int(seg_no as i64),
-        Value::Int(s.offset as i64),
-        Value::Int(s.length as i64),
-        Value::Float(s.start_time),
-        Value::Float(s.end_time),
-    ]
+) -> Result<(), S::Error> {
+    let cells = t.cells();
+    id_cells(cells, path, r.file_id, r.rank);
+    let first = ID_COLUMNS.len();
+    for (i, &c) in r.counters.iter().enumerate() {
+        cells.int(first + i, c);
+    }
+    let ids: Vec<String> = r.ost_ids.iter().map(ToString::to_string).collect();
+    cells.value(first + r.counters.len(), Value::Str(ids.join(" ").into()));
+    t.end_row()
 }
 
-/// A table under construction: a dense [`Table`] for the batch
-/// extractor, a [`ChunkedTableBuilder`] for the streaming one.
+/// The `HEATMAP` table rows of a record, one per time bin.
+fn heatmap_rows<S: TableSink>(t: &mut S, r: &HeatmapRecord) -> Result<(), S::Error> {
+    for (bin, (&rd, &wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
+        let cells = t.cells();
+        cells.int(0, i64::from(r.rank));
+        cells.int(1, bin as i64);
+        cells.float(2, bin as f64 * r.bin_width);
+        cells.float(3, (bin + 1) as f64 * r.bin_width);
+        cells.int(4, rd as i64);
+        cells.int(5, wr as i64);
+        t.end_row()?;
+    }
+    Ok(())
+}
+
+/// The `DXT` table rows of a record, one per traced operation (writes
+/// first, as [`DxtRecord::iter`] orders them). The record's path, layer
+/// and operation names are coded once, not per segment.
+fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) -> Result<(), S::Error> {
+    if r.is_empty() {
+        return Ok(());
+    }
+    let cells = t.cells();
+    let path = cells.code(1, path.unwrap_or(UNKNOWN_PATH));
+    let module = cells.code(3, r.layer.name());
+    let mut seg_no = 0;
+    for (kind, segments) in [(OpKind::Write, &r.writes), (OpKind::Read, &r.reads)] {
+        if segments.is_empty() {
+            continue;
+        }
+        let op = t.cells().code(4, kind.name());
+        for s in segments {
+            let cells = t.cells();
+            cells.int(0, r.file_id as i64);
+            cells.coded(1, path);
+            cells.int(2, i64::from(r.rank));
+            cells.coded(3, module);
+            cells.coded(4, op);
+            cells.int(5, seg_no);
+            cells.int(6, s.offset as i64);
+            cells.int(7, s.length as i64);
+            cells.float(8, s.start_time);
+            cells.float(9, s.end_time);
+            t.end_row()?;
+            seg_no += 1;
+        }
+    }
+    Ok(())
+}
+
+/// A table under construction: a [`DenseTable`] for the batch
+/// extractor, a [`ChunkedTableBuilder`] for the streaming one. Both take
+/// a row as typed cells appended to their [`ColumnBuilder`].
 pub(crate) trait TableSink {
-    /// What pushing a row or finishing the table can fail with.
+    /// What closing a row or finishing the table can fail with.
     type Error;
-    /// Append one row.
-    fn push_row(&mut self, row: Vec<Value>) -> Result<(), Self::Error>;
+    /// The open row's columns.
+    fn cells(&mut self) -> &mut ColumnBuilder;
+    /// Close the row whose cells were just appended.
+    fn end_row(&mut self) -> Result<(), Self::Error>;
     /// The finished table.
     fn into_table(self) -> Result<Table, Self::Error>;
 }
 
-impl TableSink for Table {
+/// The batch extractor's table: every column dense, in memory.
+pub(crate) struct DenseTable {
+    name: String,
+    columns: Vec<String>,
+    cells: ColumnBuilder,
+}
+
+impl DenseTable {
+    fn new(name: &str, columns: &[&str]) -> Self {
+        DenseTable {
+            name: name.to_owned(),
+            columns: columns.iter().map(|&c| c.to_owned()).collect(),
+            cells: ColumnBuilder::new(columns.len()),
+        }
+    }
+}
+
+impl TableSink for DenseTable {
     type Error = Infallible;
 
-    fn push_row(&mut self, row: Vec<Value>) -> Result<(), Infallible> {
-        Table::push_row(self, row);
+    fn cells(&mut self) -> &mut ColumnBuilder {
+        &mut self.cells
+    }
+
+    fn end_row(&mut self) -> Result<(), Infallible> {
         Ok(())
     }
 
     fn into_table(self) -> Result<Table, Infallible> {
-        Ok(self)
+        let columns = self
+            .columns
+            .into_iter()
+            .zip(self.cells.finish().into_iter().map(Arc::new))
+            .collect();
+        Ok(Table::from_columns(&self.name, columns))
     }
 }
 
 impl TableSink for ChunkedTableBuilder {
     type Error = io::Error;
 
-    fn push_row(&mut self, row: Vec<Value>) -> io::Result<()> {
-        ChunkedTableBuilder::push_row(self, row)
+    fn cells(&mut self) -> &mut ColumnBuilder {
+        ChunkedTableBuilder::cells(self)
+    }
+
+    fn end_row(&mut self) -> io::Result<()> {
+        ChunkedTableBuilder::end_row(self)
     }
 
     fn into_table(self) -> io::Result<Table> {
@@ -263,7 +331,7 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
             self.paths.entry(n.id).or_insert_with(|| n.path.clone());
         }
         let counters = |t: &mut S, paths: &Paths, id: u64, rank: i32, c: &[i64], f: &[f64]| {
-            t.push_row(counter_row(id, rank, path_of(paths, id), c, f))
+            counter_row(t, id, rank, path_of(paths, id), c, f)
         };
         self.push("POSIX", posix_columns, &log.posix, |t, paths, r| {
             counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
@@ -275,30 +343,19 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
             counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
         })?;
         self.push("LUSTRE", lustre_columns, &log.lustre, |t, paths, r| {
-            t.push_row(lustre_row(r, path_of(paths, r.file_id)))
+            lustre_row(t, r, path_of(paths, r.file_id))
         })?;
         self.push(
             "HEATMAP",
             || HEATMAP_COLUMNS.to_vec(),
             &log.heatmap,
-            |t, _, r| {
-                for (bin, (rd, wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
-                    t.push_row(heatmap_row(r, bin, *rd, *wr))?;
-                }
-                Ok(())
-            },
+            |t, _, r| heatmap_rows(t, r),
         )?;
         self.push(
             "DXT",
             || DXT_COLUMNS.to_vec(),
             &log.dxt,
-            |t, paths, r| {
-                let path = path_of(paths, r.file_id);
-                for (seg_no, (kind, s)) in r.iter().enumerate() {
-                    t.push_row(dxt_row(r, path, seg_no, kind, s))?;
-                }
-                Ok(())
-            },
+            |t, paths, r| dxt_rows(t, r, path_of(paths, r.file_id)),
         )?;
         // Parameter derivation reads only the first Lustre record.
         if self.first_lustre.is_none() {
@@ -353,12 +410,12 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
 ///
 /// Only modules that actually collected records appear in the result —
 /// ION's module mapping later uses absence (e.g. no `MPIIO` table) as a
-/// signal in itself. The tables are dense: no chunks are sealed or
-/// compressed.
+/// signal in itself. Numeric columns are dense; `file_name` and the DXT
+/// `module` and `op` columns are dictionary-coded.
 #[must_use]
 pub fn extract_tables(log: &Log) -> TableSet {
     let mut span = ion_obs::span!("extract");
-    let mut tables = ModuleTables::new(Table::new);
+    let mut tables = ModuleTables::new(DenseTable::new);
     let Ok(()) = tables.fold(log);
     let Ok((set, _)) = tables.finish();
     span.attr("tables", set.len());
@@ -368,6 +425,7 @@ pub fn extract_tables(log: &Log) -> TableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::ColumnData;
     use darshan::accum::PosixAccumulator;
     use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
     use darshan::log::LogWriter;
@@ -444,6 +502,48 @@ mod tests {
         assert_eq!(t.cell(1, "op"), Some(Value::Str("read".into())));
         assert_eq!(t.cell(0, "length"), Some(Value::Int(1024)));
         assert_eq!(t.cell(0, "module"), Some(Value::Str("X_POSIX".into())));
+    }
+
+    #[test]
+    fn batch_dxt_strings_are_dictionary_coded() {
+        let mut w = LogWriter::new(JobRecord::new(0, 1, 2));
+        let seg = |offset| DxtSegment {
+            offset,
+            length: 8,
+            start_time: 0.0,
+            end_time: 0.1,
+        };
+        for (path, rank, layer, ops) in [
+            ("/x", 0, DxtLayer::Posix, &[OpKind::Write, OpKind::Read][..]),
+            ("/x", 1, DxtLayer::Posix, &[OpKind::Write]),
+            ("/y", 0, DxtLayer::MpiIo, &[OpKind::Read, OpKind::Read]),
+            ("/unused", 1, DxtLayer::MpiIo, &[]),
+        ] {
+            let id = record_id(path);
+            w.register_name(id, path);
+            let mut d = DxtRecord::new(id, rank, layer, "nid0");
+            for (i, &op) in ops.iter().enumerate() {
+                d.push(op, seg(i as u64));
+            }
+            w.add_dxt_record(d);
+        }
+        let set = extract_tables(&w.into_log());
+        let t = set.get("DXT").unwrap();
+        assert_eq!(t.len(), 5);
+        for (column, entries) in [("file_name", 2), ("module", 2), ("op", 2)] {
+            let data = t.column(t.column_index(column).unwrap()).unwrap();
+            let ColumnData::Dict { dict, .. } = data else {
+                panic!("{column} is not dictionary-coded: {data:?}");
+            };
+            assert_eq!(dict.len(), entries, "{column}: {dict:?}");
+        }
+        for (i, c) in t.columns.iter().enumerate() {
+            let data = t.column(i).unwrap();
+            assert!(!matches!(data, ColumnData::Mixed(_)), "{} is Mixed", c.name);
+            assert_eq!(data.null_count(), 0, "{}", c.name);
+        }
+        assert_eq!(t.cell(4, "file_name"), Some(Value::Str("/y".into())));
+        assert_eq!(t.cell(4, "segment"), Some(Value::Int(1)));
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   prompts ("a description of the columns in the associated CSV files").
 //! * [`extract`] — the extractor itself: [`extract::extract_tables`],
 //!   and the one module → table fold both extraction paths run.
+//! * [`builder`] — typed column builders, through which both table
+//!   sinks take every extracted row, with repeated strings
+//!   dictionary-coded.
 //! * [`chunked`] — out-of-core table building: fixed-row chunks,
 //!   compressed column encodings, the spill pager contract, and the
 //!   table codec ([`encode_table`]/[`decode_table`]) the store keeps
@@ -46,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod builder;
 pub mod chunked;
 pub mod csv;
 pub mod extract;
@@ -54,6 +58,7 @@ pub mod stats;
 pub mod stream;
 pub mod table;
 
+pub use builder::ColumnBuilder;
 pub use chunked::{
     decode_chunk, decode_table, encode_chunk, encode_table, ChunkPager, ChunkTicket,
     ChunkedTableBuilder,

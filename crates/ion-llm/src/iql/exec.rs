@@ -32,7 +32,8 @@ use super::value_ops::{
 };
 use super::IqlError;
 use extractor::{ColumnData, Table, TableSet, Value};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A column view: shared payload + optional row-selection vector.
@@ -354,21 +355,30 @@ fn apply(
                 .filter(|(i, c)| *i != ri && !left.names.contains(&c.name))
                 .map(|(i, _)| i)
                 .collect();
-            // Hash join on the stringified key (BTreeMap, as in legacy:
-            // right rows stay in insertion order per key).
-            let rkey_col = right.column(ri).expect("join column in range");
-            let mut index: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-            for i in 0..right.len() {
-                index
-                    .entry(rkey_col.value(i).to_string())
-                    .or_default()
-                    .push(i as u32);
+            // Hash join on key classes shared by both key columns; right
+            // rows stay in row order per key, as in legacy.
+            let rkey = right
+                .column_arc(ri)
+                .map(ColRef::dense)
+                .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
+            let lkey = &left.cols[li];
+            let mut space = KeyClasses::new(&[lkey, &rkey]);
+            let mut index: Vec<Vec<u32>> = Vec::new();
+            for (i, class) in space
+                .classify(&rkey, 0..right.len())
+                .into_iter()
+                .enumerate()
+            {
+                let class = class as usize;
+                if class == index.len() {
+                    index.push(Vec::new());
+                }
+                index[class].push(i as u32);
             }
-            let lkey_col = &left.cols[li];
             let mut lkeep: Vec<u32> = Vec::new();
             let mut rkeep: Vec<u32> = Vec::new();
-            for i in 0..left.len {
-                if let Some(matches) = index.get(&lkey_col.value(i).to_string()) {
+            for (i, class) in space.classify(lkey, 0..left.len).into_iter().enumerate() {
+                if let Some(matches) = index.get(class as usize) {
                     for &rrow in matches {
                         lkeep.push(i as u32);
                         rkeep.push(rrow);
@@ -397,20 +407,37 @@ fn apply(
                 })
                 .collect::<Result<_, _>>()?;
             unique_columns(keys.iter().chain(aggs.iter().map(|a| &a.name)))?;
-            // Group ordinals by rendered key tuple; BTreeMap keeps output
-            // order deterministic (and legacy-identical).
-            let mut groups: BTreeMap<Vec<String>, Vec<u32>> = BTreeMap::new();
-            for i in 0..r.len {
-                let key: Vec<String> = key_idxs
-                    .iter()
-                    .map(|&k| r.cols[k].value(i).to_string())
-                    .collect();
-                groups.entry(key).or_default().push(i as u32);
+            // Group ids: key classes combined column by column, numbered
+            // in first-use order.
+            let mut gids: Vec<u32> = vec![0; r.len];
+            let mut ngroups = usize::from(r.len > 0);
+            for &k in &key_idxs {
+                let col = &r.cols[k];
+                let mut space = KeyClasses::new(&[col]);
+                let classes = space.classify(col, 0..r.len);
+                ngroups = refine_groups(&mut gids, ngroups, &classes, space.len());
             }
+            let mut groups: Vec<Vec<u32>> = vec![Vec::new(); ngroups];
+            for (i, &g) in gids.iter().enumerate() {
+                groups[g as usize].push(i as u32);
+            }
+            // Legacy order: by rendered key tuple. Classes follow rendered
+            // equality, so distinct groups never tie.
+            let rendered: Vec<Vec<String>> = groups
+                .iter()
+                .map(|ordinals| {
+                    key_idxs
+                        .iter()
+                        .map(|&k| r.cols[k].value(ordinals[0] as usize).to_string())
+                        .collect()
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..ngroups).collect();
+            order.sort_by(|&a, &b| rendered[a].cmp(&rendered[b]));
             let mut out_cols: Vec<ColumnData> = (0..keys.len() + aggs.len())
                 .map(|_| ColumnData::empty())
                 .collect();
-            for ordinals in groups.values() {
+            for ordinals in order.iter().map(|&g| &groups[g]) {
                 let first = ordinals[0] as usize;
                 for (c, &k) in key_idxs.iter().enumerate() {
                     out_cols[c].push(r.cols[k].value(first));
@@ -425,7 +452,6 @@ fn apply(
                 .cloned()
                 .chain(aggs.iter().map(|a| a.name.clone()))
                 .collect();
-            let len = groups.len();
             *r = Relation {
                 name: r.name.clone(),
                 names,
@@ -433,7 +459,7 @@ fn apply(
                     .into_iter()
                     .map(|c| ColRef::dense(Arc::new(c)))
                     .collect(),
-                len,
+                len: ngroups,
             };
         }
         PlanOp::Agg(aggs) => {
@@ -544,12 +570,29 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
             match name.as_str() {
                 "count" => Ok(Value::Int(rows.len() as i64)),
                 "distinct" => {
-                    let mut seen = std::collections::BTreeSet::new();
-                    for i in rows.iter() {
-                        let v = eval_row(&args[0], rel, i, env)?;
-                        seen.insert(v.to_string());
-                    }
-                    Ok(Value::Int(seen.len() as i64))
+                    // A bare column is classified where it lies; any other
+                    // expression is evaluated into a column first.
+                    let column = match &args[0] {
+                        Expr::Ident(name) => rel.col_idx(name),
+                        _ => None,
+                    };
+                    let (col, rows): (ColRef, Box<dyn Iterator<Item = usize>>) = match column {
+                        Some(c) => (rel.cols[c].clone(), rows.iter()),
+                        None => {
+                            let vals = rows
+                                .iter()
+                                .map(|i| eval_row(&args[0], rel, i, env))
+                                .collect::<Result<Vec<_>, _>>()?;
+                            let n = vals.len();
+                            (
+                                ColRef::dense(Arc::new(ColumnData::from_values(vals))),
+                                Box::new(0..n),
+                            )
+                        }
+                    };
+                    let mut space = KeyClasses::new(&[&col]);
+                    space.classify(&col, rows);
+                    Ok(Value::Int(space.len() as i64))
                 }
                 "pct" => {
                     let p = eval_scalar_or_number(&args[1], env)?;
@@ -563,6 +606,212 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Key classes (GROUP keys, `distinct`, JOIN keys)
+// ---------------------------------------------------------------------------
+
+/// The kind a null-free key column keys its cells by.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum KeyKind {
+    Int,
+    Float,
+    Str,
+}
+
+/// The key kind of a column, or `None` when its cells must be keyed by
+/// their rendered form: a column with nulls (`Null` renders like `""`)
+/// or a `Mixed` one (`Int(5)` renders like `Str("5")`).
+fn key_kind(data: &ColumnData) -> Option<KeyKind> {
+    let kind = match data {
+        ColumnData::Int { .. } | ColumnData::RleInt { .. } => KeyKind::Int,
+        ColumnData::Float { .. } | ColumnData::RleFloat { .. } => KeyKind::Float,
+        ColumnData::Str { .. } | ColumnData::Dict { .. } => KeyKind::Str,
+        ColumnData::Mixed(_) => return None,
+    };
+    (data.null_count() == 0).then_some(kind)
+}
+
+/// One cell as a class-space key.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Key<'a> {
+    Int(i64),
+    /// `f64` bits with every NaN folded into one: all NaNs render `NaN`,
+    /// while `-0.0` and `0.0` render apart.
+    Float(u64),
+    /// A string cell, or any cell's rendered form.
+    Text(Cow<'a, str>),
+}
+
+impl Key<'_> {
+    fn float(v: f64) -> Self {
+        Key::Float(if v.is_nan() { f64::NAN } else { v }.to_bits())
+    }
+}
+
+/// Index of the RLE run holding physical row `p`. `hint` is the run the
+/// previous call found, so ascending scans take O(1) per row.
+fn run_at(ends: &[u64], p: usize, hint: &mut usize) -> usize {
+    let p = p as u64;
+    let holds = |r: usize| ends.get(r).is_some_and(|&e| p < e) && (r == 0 || ends[r - 1] <= p);
+    if !holds(*hint) {
+        *hint = if holds(*hint + 1) {
+            *hint + 1
+        } else {
+            ends.partition_point(|&e| e <= p)
+        };
+    }
+    *hint
+}
+
+/// Dense `u32` key classes for the cells of one or more key columns: a
+/// GROUP key, a `distinct` argument, or both sides of a JOIN. Two cells
+/// share a class exactly when their rendered forms (`Value::to_string()`,
+/// the legacy key) are equal. Classes are numbered in first-use order.
+///
+/// Cells are keyed by value: `i64`, canonical `f64` bits, `&str`, or one
+/// lookup per dictionary code. Only the cells of a column with nulls or
+/// a `Mixed` column, or of a numeric column sharing its space with
+/// another kind, are rendered; `iql.keys.rendered` counts them.
+struct KeyClasses<'a> {
+    classes: HashMap<Key<'a>, u32>,
+    /// The last key classified: runs of equal keys skip the hash.
+    last: Option<(Key<'a>, u32)>,
+    /// The kind every column of the space has, if they share one.
+    shared: Option<KeyKind>,
+}
+
+impl<'a> KeyClasses<'a> {
+    fn new(cols: &[&ColRef]) -> Self {
+        let kinds: Vec<Option<KeyKind>> = cols.iter().map(|c| key_kind(&c.data)).collect();
+        let shared = kinds
+            .first()
+            .copied()
+            .flatten()
+            .filter(|k| kinds.iter().all(|x| *x == Some(*k)));
+        KeyClasses {
+            classes: HashMap::new(),
+            last: None,
+            shared,
+        }
+    }
+
+    /// Number of classes handed out.
+    fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    fn class(&mut self, key: Key<'a>) -> u32 {
+        if let Some((last, class)) = &self.last {
+            if *last == key {
+                return *class;
+            }
+        }
+        // Row ordinals are `u32`, so class counts are too.
+        let next = self.classes.len() as u32;
+        let class = *self.classes.entry(key.clone()).or_insert(next);
+        self.last = Some((key, class));
+        class
+    }
+
+    /// The class of each of `rows` (logical ordinals of `col`).
+    fn classify(&mut self, col: &'a ColRef, rows: impl IntoIterator<Item = usize>) -> Vec<u32> {
+        let rows = rows.into_iter();
+        let mut out = Vec::with_capacity(rows.size_hint().0);
+        let kind = key_kind(&col.data);
+        let typed = kind.is_some() && kind == self.shared;
+        let mut run = 0;
+        match col.data.as_ref() {
+            ColumnData::Str { values, .. } if kind == Some(KeyKind::Str) => {
+                for i in rows {
+                    out.push(self.class(Key::Text(Cow::Borrowed(&values[col.phys(i)]))));
+                }
+            }
+            ColumnData::Dict { codes, dict, .. } if kind == Some(KeyKind::Str) => {
+                // One lookup per dictionary entry (duplicate entries meet
+                // through their string), unless entries outnumber rows.
+                let cached = if dict.len() <= rows.size_hint().0 {
+                    dict.len()
+                } else {
+                    0
+                };
+                let mut by_code: Vec<Option<u32>> = vec![None; cached];
+                for i in rows {
+                    let code = codes[col.phys(i)] as usize;
+                    let class = match by_code.get_mut(code) {
+                        Some(Some(class)) => *class,
+                        slot => {
+                            let class = self.class(Key::Text(Cow::Borrowed(&dict[code])));
+                            if let Some(slot) = slot {
+                                *slot = Some(class);
+                            }
+                            class
+                        }
+                    };
+                    out.push(class);
+                }
+            }
+            ColumnData::Int { values, .. } if typed => {
+                for i in rows {
+                    out.push(self.class(Key::Int(values[col.phys(i)])));
+                }
+            }
+            ColumnData::RleInt { values, ends } if typed => {
+                for i in rows {
+                    let r = run_at(ends, col.phys(i), &mut run);
+                    out.push(self.class(Key::Int(values[r])));
+                }
+            }
+            ColumnData::Float { values, .. } if typed => {
+                for i in rows {
+                    out.push(self.class(Key::float(values[col.phys(i)])));
+                }
+            }
+            ColumnData::RleFloat { values, ends } if typed => {
+                for i in rows {
+                    let r = run_at(ends, col.phys(i), &mut run);
+                    out.push(self.class(Key::float(values[r])));
+                }
+            }
+            _ => {
+                for i in rows {
+                    out.push(self.class(Key::Text(Cow::Owned(col.value(i).to_string()))));
+                }
+                ion_obs::counter("iql.keys.rendered", out.len() as u64);
+            }
+        }
+        out
+    }
+}
+
+/// Split the groups `gids` (ids below `ngroups`) by one more key
+/// column's `classes` (below `nclasses`): rows stay together exactly
+/// when they shared a group and a class. New ids are numbered in
+/// first-use order; returns their count.
+fn refine_groups(gids: &mut [u32], ngroups: usize, classes: &[u32], nclasses: usize) -> usize {
+    let mut next = 0u32;
+    let mut renumber = |slot: &mut u32| {
+        if *slot == u32::MAX {
+            *slot = next;
+            next += 1;
+        }
+        *slot
+    };
+    let pairs = ngroups.saturating_mul(nclasses);
+    if pairs <= 2 * gids.len() {
+        // Few enough (group, class) pairs for a direct table.
+        let mut table = vec![u32::MAX; pairs];
+        for (g, &c) in gids.iter_mut().zip(classes) {
+            *g = renumber(&mut table[*g as usize * nclasses + c as usize]);
+        }
+    } else {
+        let mut table: HashMap<(u32, u32), u32> = HashMap::new();
+        for (g, &c) in gids.iter_mut().zip(classes) {
+            *g = renumber(table.entry((*g, c)).or_insert(u32::MAX));
+        }
+    }
+    next as usize
 }
 
 /// Collect the numeric population of `expr` over `rows` (non-numeric

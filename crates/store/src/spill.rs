@@ -182,7 +182,10 @@ mod tests {
         let mut spilled = ChunkedTableBuilder::with_pager("T", &cols, 16, Arc::clone(&pager));
         let mut plain = Table::new("T", &cols);
         for row in sample_rows(100) {
-            spilled.push_row(row.clone()).unwrap();
+            for (c, v) in row.iter().enumerate() {
+                spilled.cells().value(c, v.clone());
+            }
+            spilled.end_row().unwrap();
             plain.push_row(row);
         }
         let spilled = spilled.finish().unwrap();

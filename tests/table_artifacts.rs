@@ -1,5 +1,5 @@
 //! The table artifacts of the Figure 2 and Figure 3 traces, pinned by
-//! content digest.
+//! content digest, and the IQL key path the expert runs over them.
 //!
 //! `every_ingest_path_yields_byte_identical_table_artifacts` (in
 //! `ion-store`) compares the ingest paths with each other, so a change
@@ -9,9 +9,16 @@
 //! SHA-256 `tests/golden/tables.sha256` lists. The list was recorded
 //! once and is never re-recorded to make a change pass; a change to the
 //! artifact format is a change to every store on disk.
+//!
+//! The expert's programs GROUP, `distinct` and JOIN only on typed key
+//! columns, so over these tables no row may take the executor's
+//! rendered-string key fallback (`iql.keys.rendered`): a silent fallback
+//! fails here instead of showing up as a slower benchmark.
 
 use darshan::log::{Log, LogReader, LogWriter};
-use extractor::{encode_table, extract_tables};
+use extractor::{decode_table, encode_table, extract_tables, Table, TableSet, Value};
+use ion::pipeline::IonPipeline;
+use ion_llm::iql::{parse_program, Interpreter};
 use ion_store::digest_bytes;
 use std::path::PathBuf;
 use workloads::e2e::{E2e, E2eVariant};
@@ -40,7 +47,10 @@ fn golden_traces() -> Vec<(&'static str, Box<dyn Workload>)> {
             Box::new(OpenPmd::scaled(OpenPmdVariant::Optimized, 0.05)),
         ),
         ("e2e", Box::new(E2e::scaled(E2eVariant::Baseline, 0.03))),
-        ("e2e-opt", Box::new(E2e::scaled(E2eVariant::Optimized, 0.25))),
+        (
+            "e2e-opt",
+            Box::new(E2e::scaled(E2eVariant::Optimized, 0.25)),
+        ),
     ]
 }
 
@@ -69,4 +79,44 @@ fn table_artifacts_match_pinned_digests() {
         "table artifacts differ from {}\n--- pinned\n{pinned}+++ actual\n{actual}",
         pinned_file.display()
     );
+}
+
+#[test]
+fn expert_programs_never_key_rows_by_rendered_strings() {
+    let counter = |name: &str| ion_obs::snapshot().counter(name);
+    ion_obs::enable();
+    let before = counter("iql.keys.rendered");
+    let mut queries = counter("iql.queries_evaluated");
+    for (name, workload) in golden_traces() {
+        let (bytes, log) = decoded(workload.as_ref());
+        let pipeline = IonPipeline::new();
+        let report = pipeline.run_bytes(&bytes).unwrap().render_text();
+        let mut stored = TableSet::default();
+        for (_, table) in extract_tables(&log).iter() {
+            stored.insert(decode_table(&encode_table(table)).unwrap());
+        }
+        let stored_report = pipeline.run_tables(&stored, &pipeline.params_for(&log));
+        assert_eq!(stored_report.render_text(), report, "{name}");
+        assert_eq!(
+            counter("iql.keys.rendered"),
+            before,
+            "{name}: rows keyed by rendered strings"
+        );
+        assert!(
+            counter("iql.queries_evaluated") > queries,
+            "{name}: no query ran"
+        );
+        queries = counter("iql.queries_evaluated");
+    }
+    // The counter does count: a GROUP over a Mixed column renders each row.
+    let mut mixed = Table::new("M", &["m"]);
+    for v in [Value::Int(5), Value::from("5"), Value::Float(0.5)] {
+        mixed.push_row(vec![v]);
+    }
+    let mut tables = TableSet::default();
+    tables.insert(mixed);
+    let program = parse_program("LOAD M\nGROUP m AGG c = count()").unwrap();
+    let out = Interpreter::new(&tables).run(&program).unwrap();
+    assert_eq!(out.table.map(|t| t.len()), Some(2));
+    assert_eq!(counter("iql.keys.rendered"), before + 3);
 }
