@@ -235,7 +235,7 @@ pub(crate) trait TableSink {
     fn into_table(self) -> Result<Table, Self::Error>;
 }
 
-/// The batch extractor's table: every column dense, in memory.
+/// The batch extractor's table: every column whole, in memory.
 pub(crate) struct DenseTable {
     name: String,
     columns: Vec<String>,

@@ -363,17 +363,10 @@ fn apply(
                 .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
             let lkey = &left.cols[li];
             let mut space = KeyClasses::new(&[lkey, &rkey]);
-            let mut index: Vec<Vec<u32>> = Vec::new();
-            for (i, class) in space
-                .classify(&rkey, 0..right.len())
-                .into_iter()
-                .enumerate()
-            {
-                let class = class as usize;
-                if class == index.len() {
-                    index.push(Vec::new());
-                }
-                index[class].push(i as u32);
+            let rclasses = space.classify(&rkey, 0..right.len());
+            let mut index: Vec<Vec<u32>> = vec![Vec::new(); space.len()];
+            for (i, &class) in rclasses.iter().enumerate() {
+                index[class as usize].push(i as u32);
             }
             let mut lkeep: Vec<u32> = Vec::new();
             let mut rkeep: Vec<u32> = Vec::new();
@@ -651,16 +644,12 @@ impl Key<'_> {
 }
 
 /// Index of the RLE run holding physical row `p`. `hint` is the run the
-/// previous call found, so ascending scans take O(1) per row.
+/// previous call found, so a scan searches once per run, not per row.
 fn run_at(ends: &[u64], p: usize, hint: &mut usize) -> usize {
     let p = p as u64;
-    let holds = |r: usize| ends.get(r).is_some_and(|&e| p < e) && (r == 0 || ends[r - 1] <= p);
-    if !holds(*hint) {
-        *hint = if holds(*hint + 1) {
-            *hint + 1
-        } else {
-            ends.partition_point(|&e| e <= p)
-        };
+    let held = ends.get(*hint).is_some_and(|&e| p < e) && (*hint == 0 || ends[*hint - 1] <= p);
+    if !held {
+        *hint = ends.partition_point(|&e| e <= p);
     }
     *hint
 }
@@ -670,8 +659,8 @@ fn run_at(ends: &[u64], p: usize, hint: &mut usize) -> usize {
 /// share a class exactly when their rendered forms (`Value::to_string()`,
 /// the legacy key) are equal. Classes are numbered in first-use order.
 ///
-/// Cells are keyed by value: `i64`, canonical `f64` bits, `&str`, or one
-/// lookup per dictionary code. Only the cells of a column with nulls or
+/// Cells are keyed by value: `i64`, canonical `f64` bits or `&str`
+/// (a dictionary code through its entry). Only the cells of a column with nulls or
 /// a `Mixed` column, or of a numeric column sharing its space with
 /// another kind, are rendered; `iql.keys.rendered` counts them.
 struct KeyClasses<'a> {
@@ -729,27 +718,10 @@ impl<'a> KeyClasses<'a> {
                 }
             }
             ColumnData::Dict { codes, dict, .. } if kind == Some(KeyKind::Str) => {
-                // One lookup per dictionary entry (duplicate entries meet
-                // through their string), unless entries outnumber rows.
-                let cached = if dict.len() <= rows.size_hint().0 {
-                    dict.len()
-                } else {
-                    0
-                };
-                let mut by_code: Vec<Option<u32>> = vec![None; cached];
+                // Through the string: duplicate dictionary entries meet.
                 for i in rows {
-                    let code = codes[col.phys(i)] as usize;
-                    let class = match by_code.get_mut(code) {
-                        Some(Some(class)) => *class,
-                        slot => {
-                            let class = self.class(Key::Text(Cow::Borrowed(&dict[code])));
-                            if let Some(slot) = slot {
-                                *slot = Some(class);
-                            }
-                            class
-                        }
-                    };
-                    out.push(class);
+                    let entry = &dict[codes[col.phys(i)] as usize];
+                    out.push(self.class(Key::Text(Cow::Borrowed(entry))));
                 }
             }
             ColumnData::Int { values, .. } if typed => {

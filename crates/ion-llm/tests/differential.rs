@@ -735,6 +735,15 @@ fn key_classes_follow_rendered_equality_like_legacy() {
                     validity: None,
                 }),
             ),
+            // Null (-1 here) never meets 0, the placeholder under it.
+            (
+                "ni".into(),
+                column(
+                    [-1, 0, -1, 1, 0, -1, 1, 0]
+                        .map(|c| if c < 0 { Value::Null } else { Value::Int(c) })
+                        .to_vec(),
+                ),
+            ),
             // Join key, Int.
             (
                 "key".into(),
@@ -791,6 +800,8 @@ fn key_classes_follow_rendered_equality_like_legacy() {
         "LOAD K\nGROUP z AGG c = count(), u = distinct(nan)",
         "LOAD K\nGROUP sv AGG c = count(), u = distinct(mx)",
         "LOAD K\nGROUP d AGG c = count(), u = distinct(nv)",
+        "LOAD K\nGROUP ni AGG c = count(), u = distinct(d)",
+        "LOAD K\nFILTER k == 0\nAGG u = distinct(ni)\nEMIT u",
         "LOAD K\nGROUP k, d, z AGG c = count()",
         "LOAD K\nAGG a = distinct(nv), b = distinct(mx), c = distinct(nan), e = distinct(z), f = distinct(sv), g = distinct(d)\nEMIT a, b, c, e, f, g",
         // distinct over expressions: typed, and mixed Int/Float results.
