@@ -144,6 +144,11 @@ impl ChunkedTableBuilder {
     /// # Errors
     ///
     /// Propagates pager failures when a sealed chunk spills.
+    ///
+    /// # Panics
+    ///
+    /// Panics at a seal when some column did not get exactly one cell
+    /// per closed row.
     pub fn end_row(&mut self) -> io::Result<()> {
         self.open_rows += 1;
         self.total_rows += 1;
@@ -166,6 +171,11 @@ impl ChunkedTableBuilder {
             .into_iter()
             .map(ColumnData::compressed)
             .collect();
+        assert!(
+            chunk.iter().all(|c| c.len() == rows),
+            "a row of table {} did not get one cell per column",
+            self.name
+        );
         self.open_rows = 0;
         if let Some(pager) = &self.pager {
             let bytes = encode_chunk(&chunk);
@@ -744,6 +754,15 @@ mod tests {
         assert!(matches!(t.column(2), Some(ColumnData::Dict { .. })));
         // The strictly increasing column stays dense.
         assert!(matches!(t.column(3), Some(ColumnData::Int { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per column")]
+    fn a_row_missing_a_cell_panics_at_the_seal() {
+        let mut b = ChunkedTableBuilder::new("T", &COLS, 2);
+        push(&mut b, sample_row(0));
+        b.cells().value(0, Value::Int(1));
+        let _ = b.end_row();
     }
 
     /// In-memory pager that records traffic.

@@ -11,17 +11,24 @@ use crate::driver::StoredPipeline;
 use crate::StoreError;
 use ion::pipeline::IonReport;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Live progress gauges for one batch run, published to the global
 /// `ion-obs` registry (`batch.total` / `batch.completed` / `batch.failed`
 /// / `batch.in_flight`) so the `/progress` endpoint — and any `/metrics`
-/// scraper — can watch a run without poking at store internals.
+/// scraper — can watch a run without poking at store internals. Each
+/// count changes and is published under one lock, so a worker never
+/// overwrites a gauge with a count older than the one already shown.
 #[derive(Debug, Default)]
 struct BatchProgress {
-    completed: AtomicU64,
-    failed: AtomicU64,
-    in_flight: AtomicU64,
+    counts: Mutex<ProgressCounts>,
+}
+
+#[derive(Debug, Default)]
+struct ProgressCounts {
+    completed: u64,
+    failed: u64,
+    in_flight: u64,
 }
 
 impl BatchProgress {
@@ -34,23 +41,28 @@ impl BatchProgress {
         BatchProgress::default()
     }
 
+    fn counts(&self) -> MutexGuard<'_, ProgressCounts> {
+        // Every update leaves the counts consistent, so a lock poisoned
+        // by a panicking worker still holds usable counts.
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[allow(clippy::cast_precision_loss)]
     fn trace_started(&self) {
-        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        ion_obs::gauge("batch.in_flight", now as f64);
+        let mut counts = self.counts();
+        counts.in_flight += 1;
+        ion_obs::gauge("batch.in_flight", counts.in_flight as f64);
     }
 
     #[allow(clippy::cast_precision_loss)]
     fn trace_finished(&self, entry: &BatchEntry) {
-        let in_flight = self
-            .in_flight
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        ion_obs::gauge("batch.in_flight", in_flight as f64);
+        let mut counts = self.counts();
+        counts.in_flight = counts.in_flight.saturating_sub(1);
+        ion_obs::gauge("batch.in_flight", counts.in_flight as f64);
         match &entry.result {
             Ok(report) => {
-                let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
-                ion_obs::gauge("batch.completed", done as f64);
+                counts.completed += 1;
+                ion_obs::gauge("batch.completed", counts.completed as f64);
                 ion_obs::event!(
                     "batch.trace.completed",
                     path = entry.path.display().to_string(),
@@ -58,8 +70,8 @@ impl BatchProgress {
                 );
             }
             Err(err) => {
-                let failed = self.failed.fetch_add(1, Ordering::Relaxed) + 1;
-                ion_obs::gauge("batch.failed", failed as f64);
+                counts.failed += 1;
+                ion_obs::gauge("batch.failed", counts.failed as f64);
                 ion_obs::event!(
                     "batch.trace.failed",
                     path = entry.path.display().to_string(),
