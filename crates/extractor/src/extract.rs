@@ -221,7 +221,7 @@ fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) -> Resul
     Ok(())
 }
 
-/// A table under construction: a [`DenseTable`] for the batch
+/// A table under construction: a [`BatchTable`] for the batch
 /// extractor, a [`ChunkedTableBuilder`] for the streaming one. Both take
 /// a row as typed cells appended to their [`ColumnBuilder`].
 pub(crate) trait TableSink {
@@ -236,15 +236,15 @@ pub(crate) trait TableSink {
 }
 
 /// The batch extractor's table: every column whole, in memory.
-pub(crate) struct DenseTable {
+pub(crate) struct BatchTable {
     name: String,
     columns: Vec<String>,
     cells: ColumnBuilder,
 }
 
-impl DenseTable {
+impl BatchTable {
     fn new(name: &str, columns: &[&str]) -> Self {
-        DenseTable {
+        BatchTable {
             name: name.to_owned(),
             columns: columns.iter().map(|&c| c.to_owned()).collect(),
             cells: ColumnBuilder::new(columns.len()),
@@ -252,7 +252,7 @@ impl DenseTable {
     }
 }
 
-impl TableSink for DenseTable {
+impl TableSink for BatchTable {
     type Error = Infallible;
 
     fn cells(&mut self) -> &mut ColumnBuilder {
@@ -415,7 +415,7 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
 #[must_use]
 pub fn extract_tables(log: &Log) -> TableSet {
     let mut span = ion_obs::span!("extract");
-    let mut tables = ModuleTables::new(DenseTable::new);
+    let mut tables = ModuleTables::new(BatchTable::new);
     let Ok(()) = tables.fold(log);
     let Ok((set, _)) = tables.finish();
     span.attr("tables", set.len());
