@@ -1,11 +1,11 @@
 //! Typed column builders: the way extracted rows enter a table.
 //!
-//! Both table sinks, the batch extractor's dense tables and the
+//! Both table sinks, the batch extractor's in-memory tables and the
 //! streaming extractor's [`ChunkedTableBuilder`], append each row as one
 //! typed cell per column into a [`ColumnBuilder`]; no row is ever a
 //! `Vec<Value>`. Strings that repeat down a column (paths, DXT layer and
 //! operation names) are dictionary-coded: the extractor interns a
-//! string once per record with [`ColumnBuilder::code`] and appends the
+//! string once per record (`ColumnBuilder::code`) and appends the
 //! code for every row that carries it, so a DXT segment allocates no
 //! string.
 //!
