@@ -109,6 +109,14 @@ impl Failure {
             show_usage: false,
         }
     }
+
+    /// The same failure, its message prefixed with what it concerns.
+    fn about(self, what: &str) -> Failure {
+        Failure {
+            message: format!("{what}: {}", self.message),
+            ..self
+        }
+    }
 }
 
 impl From<String> for Failure {
@@ -333,8 +341,9 @@ fn load(path: &str) -> Result<darshan::log::Log, String> {
 
 /// Full diagnosis of trace bytes — incremental when `--store` is given,
 /// streaming out-of-core when `--chunk-rows` or `--spill-dir` is given,
-/// the plain pipeline otherwise.
-fn analyze_bytes(bytes: &[u8], flags: &ObsFlags) -> Result<ion::pipeline::IonReport, String> {
+/// the plain pipeline otherwise. A trace that fails to decode or a store
+/// that fails is an outcome failure; only conflicting flags print usage.
+fn analyze_bytes(bytes: &[u8], flags: &ObsFlags) -> Result<ion::pipeline::IonReport, Failure> {
     let exec = flags.exec_batch(0);
     if flags.chunk_rows.is_some() || flags.spill_dir.is_some() {
         if flags.store.is_some() {
@@ -349,22 +358,22 @@ fn analyze_bytes(bytes: &[u8], flags: &ObsFlags) -> Result<ion::pipeline::IonRep
         });
         let chunk_rows = flags.chunk_rows.unwrap_or(extractor::DEFAULT_CHUNK_ROWS);
         let extracted = extractor::extract_stream(bytes, chunk_rows, pager)
-            .map_err(|e| format!("cannot stream-decode trace: {e}"))?;
+            .map_err(|e| Failure::outcome(format!("cannot stream-decode trace: {e}")))?;
         let pipeline = IonPipeline::new().with_exec(exec);
         let params = pipeline.params_for(&extracted.skeleton);
         return Ok(pipeline.run_tables(&extracted.tables, &params));
     }
     if flags.store.is_some() {
-        let store = flags.open_store("analyze")?;
+        let store = flags.open_store("analyze").map_err(Failure::outcome)?;
         ion_store::StoredPipeline::new(store)
             .with_exec(exec)
             .analyze_bytes(bytes)
-            .map_err(|e| e.to_string())
+            .map_err(|e| Failure::outcome(e.to_string()))
     } else {
         IonPipeline::new()
             .with_exec(exec)
             .run_bytes(bytes)
-            .map_err(|e| format!("cannot decode trace: {e}"))
+            .map_err(|e| Failure::outcome(format!("cannot decode trace: {e}")))
     }
 }
 
@@ -480,7 +489,7 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
             let path = args.get(1).ok_or("analyze needs <log.darshan>")?;
             // Feed bytes so the decode span nests under the pipeline span.
             let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let report = analyze_bytes(&bytes, flags).map_err(|e| format!("{path}: {e}"))?;
+            let report = analyze_bytes(&bytes, flags).map_err(|e| e.about(path))?;
             emit(&report.render_text());
             let problems = report.consistency();
             if problems.is_empty() {
@@ -777,7 +786,7 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
         "qa" => {
             let path = args.get(1).ok_or("qa needs <log.darshan> [questions...]")?;
             let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let report = analyze_bytes(&bytes, flags).map_err(|e| format!("{path}: {e}"))?;
+            let report = analyze_bytes(&bytes, flags).map_err(|e| e.about(path))?;
             emit(&format!("{}\n", report.summary));
             let mut session = report.session();
             for q in &args[2..] {

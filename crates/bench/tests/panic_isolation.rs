@@ -119,6 +119,30 @@ fn cli_iql_rejects_duplicate_column_names_with_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn cli_analyze_reports_an_undecodable_trace_without_usage() {
+    let dir = std::env::temp_dir().join(format!("ion-garbage-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("garbage.darshan");
+    std::fs::write(&trace, b"this is not a darshan log").unwrap();
+    for command in ["analyze", "qa"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ion_cli"))
+            .arg(command)
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("error:"), "{command}: {stderr}");
+        assert!(
+            !stderr.lines().any(|l| l.starts_with("usage:")),
+            "{command}: an outcome failure printed usage\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Minimal HTTP GET against the telemetry endpoint (no client dep).
 fn http_get(addr: &str, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();

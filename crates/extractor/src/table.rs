@@ -1072,6 +1072,11 @@ impl Table {
         self.cols.get(idx).cloned()
     }
 
+    /// Every column's name and zero-copy shared handle, in order.
+    pub fn named_columns(&self) -> impl Iterator<Item = (&str, &Arc<ColumnData>)> {
+        self.columns.iter().map(|c| c.name.as_str()).zip(&self.cols)
+    }
+
     /// Materialize the cell at `(row, column idx)`.
     #[must_use]
     pub fn value(&self, row: usize, col: usize) -> Option<Value> {

@@ -8,27 +8,40 @@
 //! view materializes by pointer clone).
 //!
 //! Semantics parity with the legacy tree-walker is load-bearing (the
-//! differential suite compares bit-for-bit, errors included), so the
-//! executor has two tiers per operator:
+//! differential suite compares bit-for-bit, errors included). Every
+//! expression a statement evaluates — a `FILTER` predicate, a `DERIVE`,
+//! an aggregate argument, a `distinct(expr)` — takes one of two tiers:
 //!
-//! * **fast kernels** that run only when static inspection proves the
-//!   expression infallible over the column types present (numeric
-//!   comparisons over non-null numeric columns, float arithmetic with a
-//!   statically-`Float` result, direct column aggregates, …); and
-//! * a **generic tier** that evaluates the expression row-at-a-time over
-//!   the column views in exactly the legacy visit order, reproducing the
-//!   legacy error (and error *position*) when there is one.
-//!
-//! Fast kernels never change observable values: they are used only where
-//! the legacy result type is statically known (see `NumTy`), and they
-//! evaluate through the same shared `value_ops` kernels.
+//! * the **kernel**: the expression is resolved once against the live
+//!   relation and the scalar environment. Names bind to column slots or
+//!   constants; a subexpression that reads no column folds to the value
+//!   the row tier would compute; every node is typed as a number (`Int`
+//!   or `Float` per row, by the `Int op Int` rule), a `Bool` or a `Str`.
+//!   Resolution fails when some row could error, or when the expression
+//!   reads a column with nulls or `Mixed` cells. A resolved kernel runs
+//!   column at a time through the shared `value_ops` rules; a
+//!   subexpression that reads one `Dict` or RLE column and no other is
+//!   decided once per dictionary entry or run, then spread to the rows.
+//! * the **row tier** (`eval_row`): whatever the kernel refuses, one row
+//!   at a time in exactly the legacy visit order, so a failing program
+//!   reports the legacy error for the legacy row. `iql.rows.generic`
+//!   counts the rows it evaluates.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use super::ast::{BinaryOp, Expr, UnaryOp};
 use super::eval::RunOutput;
 use super::plan::{Plan, PlanOp};
 use super::value_ops::{
     arith_f64, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, is_agg_call, num,
-    numeric_agg, percentile, scalar_call, unique_columns, Env,
+    numeric_agg, percentile, scalar_call, stays_int, unique_columns, Env,
 };
 use super::IqlError;
 use extractor::{ColumnData, Table, TableSet, Value};
@@ -63,11 +76,6 @@ impl ColRef {
         self.data.value(self.phys(i))
     }
 
-    #[inline]
-    fn f64_at(&self, i: usize) -> Option<f64> {
-        self.data.f64_at(self.phys(i))
-    }
-
     /// Materialize the first `len` logical rows into owned column data —
     /// or share the payload pointer when the view is the identity.
     fn materialize(&self, len: usize) -> Arc<ColumnData> {
@@ -92,12 +100,14 @@ struct Relation {
 
 impl Relation {
     fn from_table(t: &Table) -> Self {
+        let (names, cols) = t
+            .named_columns()
+            .map(|(name, data)| (name.to_owned(), ColRef::dense(Arc::clone(data))))
+            .unzip();
         Relation {
             name: t.name.clone(),
-            names: t.columns.iter().map(|c| c.name.clone()).collect(),
-            cols: (0..t.columns.len())
-                .map(|i| ColRef::dense(t.column_arc(i).expect("column in range")))
-                .collect(),
+            names,
+            cols,
             len: t.len(),
         }
     }
@@ -166,20 +176,13 @@ impl Rows<'_> {
         }
     }
 
-    fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
+    /// `f` of every row, in order.
+    fn map<T, C: FromIterator<T>>(self, f: impl FnMut(usize) -> T) -> C {
         match self {
-            Rows::All(n) => Box::new(0..*n),
-            Rows::Subset(s) => Box::new(s.iter().map(|&i| i as usize)),
+            Rows::All(n) => (0..n).map(f).collect(),
+            Rows::Subset(s) => s.iter().map(|&i| i as usize).map(f).collect(),
         }
     }
-}
-
-/// Physical-effort counters surfaced as `iql.rows.scanned` /
-/// `iql.rows.pruned`.
-#[derive(Default)]
-struct Effort {
-    scanned: u64,
-    pruned: u64,
 }
 
 /// Execute a plan against the attached tables.
@@ -187,19 +190,19 @@ pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlEr
     let mut rel: Option<Relation> = None;
     let mut env = Env::default();
     let mut out = RunOutput::default();
-    let mut effort = Effort::default();
+    // Rows dropped by FILTER and LIMIT, surfaced as `iql.rows.pruned`.
+    let mut pruned = 0;
     let obs = ion_obs::enabled();
     let result = (|| {
         for op in &plan.ops {
             let _span = obs.then(|| ion_obs::span(format!("iql.op.{}", op.mnemonic())));
-            apply(op, tables, &mut rel, &mut env, &mut out, &mut effort)?;
+            apply(op, tables, &mut rel, &mut env, &mut out, &mut pruned)?;
         }
         out.table = rel.as_ref().map(Relation::materialize);
         Ok(())
     })();
     if obs {
-        ion_obs::counter("iql.rows.scanned", effort.scanned);
-        ion_obs::counter("iql.rows.pruned", effort.pruned);
+        ion_obs::counter("iql.rows.pruned", pruned);
     }
     result.map(|()| out)
 }
@@ -211,7 +214,7 @@ fn apply(
     rel: &mut Option<Relation>,
     env: &mut Env,
     out: &mut RunOutput,
-    effort: &mut Effort,
+    pruned: &mut u64,
 ) -> Result<(), IqlError> {
     match op {
         PlanOp::Scan { table } => {
@@ -219,51 +222,25 @@ fn apply(
                 table: table.clone(),
             })?;
             out.rows_scanned += t.len();
-            effort.scanned += t.len() as u64;
             *rel = Some(Relation::from_table(t));
         }
         PlanOp::Filter { pred, .. } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
-            let kept: Vec<u32> = match fast_filter_mask(pred, r, env) {
-                Some(mask) => mask
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &keep)| keep.then_some(i as u32))
-                    .collect(),
-                None => {
-                    let mut kept = Vec::new();
-                    for i in 0..r.len {
-                        if eval_row(pred, r, i, env)?.truthy() {
-                            kept.push(i as u32);
-                        }
-                    }
-                    kept
-                }
-            };
-            effort.pruned += (r.len - kept.len()) as u64;
+            let mask = evaluate(pred, r, Rows::All(r.len), env)?.mask();
+            let kept: Vec<u32> = (0..r.len as u32).filter(|&i| mask[i as usize]).collect();
+            *pruned += (r.len - kept.len()) as u64;
             r.select_rows(kept);
         }
         PlanOp::Derive { name, expr } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             if r.names.contains(name) {
                 return Err(IqlError::DuplicateColumn {
                     column: name.clone(),
                 });
             }
-            let data = match fast_derive(expr, r, env) {
-                Some(data) => data,
-                None => {
-                    let mut c = ColumnData::empty();
-                    for i in 0..r.len {
-                        c.push(eval_row(expr, r, i, env)?);
-                    }
-                    c
-                }
-            };
+            let data = evaluate(expr, r, Rows::All(r.len), env)?.column();
             r.names.push(name.clone());
             r.cols.push(ColRef::dense(Arc::new(data)));
         }
@@ -286,31 +263,21 @@ fn apply(
                 column: column.clone(),
             })?;
             let mut perm: Vec<u32> = (0..r.len as u32).collect();
-            let col = &r.cols[idx];
-            match sort_keys(col, r.len) {
-                SortKeys::F64(keys) => perm.sort_by(|&a, &b| {
-                    keys[a as usize]
-                        .partial_cmp(&keys[b as usize])
-                        .unwrap_or(std::cmp::Ordering::Equal)
+            // The column's cells as the kernel reads them. Numbers
+            // compare as `f64`, as legacy `compare_values` coerces them
+            // (so `i64` keys above 2^53 can tie), strings by content; a
+            // column with nulls or `Mixed` cells through `compare_values`.
+            let key = Kernel::resolve(&Expr::Ident(column.clone()), r, env);
+            match key.map(|k| k.eval(Domain::Rows(Rows::All(r.len)))) {
+                Some(Cells::Num(keys)) => perm.sort_by(|&a, &b| {
+                    let (x, y) = (keys[a as usize].f64(), keys[b as usize].f64());
+                    x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
                 }),
-                SortKeys::Str => match col.data.as_ref() {
-                    ColumnData::Str { values, .. } => {
-                        perm.sort_by(|&a, &b| {
-                            values[col.phys(a as usize)].cmp(&values[col.phys(b as usize)])
-                        });
-                    }
-                    ColumnData::Dict { codes, dict, .. } => {
-                        // Compare through the dictionary — codes are
-                        // first-occurrence ordinals, not sort order.
-                        perm.sort_by(|&a, &b| {
-                            dict[codes[col.phys(a as usize)] as usize]
-                                .cmp(&dict[codes[col.phys(b as usize)] as usize])
-                        });
-                    }
-                    _ => unreachable!(),
-                },
-                SortKeys::Generic => {
-                    let keys: Vec<Value> = (0..r.len).map(|i| col.value(i)).collect();
+                Some(Cells::Str(keys)) => {
+                    perm.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+                }
+                _ => {
+                    let keys: Vec<Value> = (0..r.len).map(|i| r.cols[idx].value(i)).collect();
                     perm.sort_by(|&a, &b| compare_values(&keys[a as usize], &keys[b as usize]));
                 }
             }
@@ -322,7 +289,7 @@ fn apply(
         PlanOp::Limit(n) => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             if *n < r.len {
-                effort.pruned += (r.len - n) as u64;
+                *pruned += (r.len - n) as u64;
                 // Truncation needs no gather: views read only the first
                 // `len` ordinals; materialize slices selection vectors.
                 r.len = *n;
@@ -333,44 +300,40 @@ fn apply(
             on,
         } => {
             let left = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
-            let right = tables
-                .get(right_name)
-                .ok_or_else(|| IqlError::NoSuchTable {
+            let right = Relation::from_table(tables.get(right_name).ok_or_else(|| {
+                IqlError::NoSuchTable {
                     table: right_name.clone(),
-                })?;
-            out.rows_scanned += left.len + right.len();
-            effort.scanned += (left.len + right.len()) as u64;
+                }
+            })?);
+            out.rows_scanned += left.len + right.len;
             let li = left
                 .col_idx(on)
                 .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
             let ri = right
-                .column_index(on)
+                .col_idx(on)
                 .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
             // Right-side columns that collide with left names are dropped
             // (left wins), including the join column itself.
-            let kept_right: Vec<usize> = right
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| *i != ri && !left.names.contains(&c.name))
-                .map(|(i, _)| i)
+            let kept_right: Vec<usize> = (0..right.names.len())
+                .filter(|&i| i != ri && !left.names.contains(&right.names[i]))
                 .collect();
             // Hash join on key classes shared by both key columns; right
             // rows stay in row order per key, as in legacy.
-            let rkey = right
-                .column_arc(ri)
-                .map(ColRef::dense)
-                .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
+            let rkey = &right.cols[ri];
             let lkey = &left.cols[li];
-            let mut space = KeyClasses::new(&[lkey, &rkey]);
-            let rclasses = space.classify(&rkey, 0..right.len());
+            let mut space = KeyClasses::new(&[lkey, rkey]);
+            let rclasses = space.classify(rkey, Rows::All(right.len));
             let mut index: Vec<Vec<u32>> = vec![Vec::new(); space.len()];
             for (i, &class) in rclasses.iter().enumerate() {
                 index[class as usize].push(i as u32);
             }
             let mut lkeep: Vec<u32> = Vec::new();
             let mut rkeep: Vec<u32> = Vec::new();
-            for (i, class) in space.classify(lkey, 0..left.len).into_iter().enumerate() {
+            for (i, class) in space
+                .classify(lkey, Rows::All(left.len))
+                .into_iter()
+                .enumerate()
+            {
                 if let Some(matches) = index.get(class as usize) {
                     for &rrow in matches {
                         lkeep.push(i as u32);
@@ -381,9 +344,9 @@ fn apply(
             left.select_rows(lkeep);
             let rsel = Arc::new(rkeep);
             for &i in &kept_right {
-                left.names.push(right.columns[i].name.clone());
+                left.names.push(right.names[i].clone());
                 left.cols.push(ColRef {
-                    data: right.column_arc(i).expect("column in range"),
+                    data: Arc::clone(&right.cols[i].data),
                     sel: Some(Arc::clone(&rsel)),
                 });
             }
@@ -391,7 +354,6 @@ fn apply(
         PlanOp::Group { keys, aggs } => {
             let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             let key_idxs: Vec<usize> = keys
                 .iter()
                 .map(|k| {
@@ -407,7 +369,7 @@ fn apply(
             for &k in &key_idxs {
                 let col = &r.cols[k];
                 let mut space = KeyClasses::new(&[col]);
-                let classes = space.classify(col, 0..r.len);
+                let classes = space.classify(col, Rows::All(r.len));
                 ngroups = refine_groups(&mut gids, ngroups, &classes, space.len());
             }
             let mut groups: Vec<Vec<u32>> = vec![Vec::new(); ngroups];
@@ -458,7 +420,6 @@ fn apply(
         PlanOp::Agg(aggs) => {
             let r = rel.as_ref().ok_or(IqlError::NoTableLoaded)?;
             out.rows_scanned += r.len;
-            effort.scanned += r.len as u64;
             for a in aggs {
                 let v = eval_agg(&a.expr, r, Rows::All(r.len), env)?;
                 env.scalars.insert(a.name.clone(), v);
@@ -483,7 +444,7 @@ fn apply(
 }
 
 // ---------------------------------------------------------------------------
-// Generic row-at-a-time tier (legacy visit order, exact error parity)
+// Row tier (legacy visit order, exact error parity)
 // ---------------------------------------------------------------------------
 
 fn eval_row(expr: &Expr, rel: &Relation, i: usize, env: &Env) -> Result<Value, IqlError> {
@@ -521,6 +482,18 @@ fn eval_row(expr: &Expr, rel: &Relation, i: usize, env: &Env) -> Result<Value, I
             scalar_call(name, &vals)
         }
     }
+}
+
+/// The cells of `expr` over `rows`: through the kernel when the
+/// expression resolves, else row at a time (counted in
+/// `iql.rows.generic`).
+fn evaluate(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Cells, IqlError> {
+    if let Some(kernel) = Kernel::resolve(expr, rel, env) {
+        return Ok(kernel.eval(Domain::Rows(rows)));
+    }
+    ion_obs::counter("iql.rows.generic", rows.len() as u64);
+    let values: Result<_, _> = rows.map(|i| eval_row(expr, rel, i, env));
+    values.map(Cells::Values)
 }
 
 /// Aggregate-context evaluation (mirrors the legacy `eval_agg_expr`).
@@ -569,18 +542,12 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
                         Expr::Ident(name) => rel.col_idx(name),
                         _ => None,
                     };
-                    let (col, rows): (ColRef, Box<dyn Iterator<Item = usize>>) = match column {
-                        Some(c) => (rel.cols[c].clone(), rows.iter()),
+                    let (col, rows) = match column {
+                        Some(c) => (rel.cols[c].clone(), rows),
                         None => {
-                            let vals = rows
-                                .iter()
-                                .map(|i| eval_row(&args[0], rel, i, env))
-                                .collect::<Result<Vec<_>, _>>()?;
-                            let n = vals.len();
-                            (
-                                ColRef::dense(Arc::new(ColumnData::from_values(vals))),
-                                Box::new(0..n),
-                            )
+                            let data = evaluate(&args[0], rel, rows, env)?.column();
+                            let n = data.len();
+                            (ColRef::dense(Arc::new(data)), Rows::All(n))
                         }
                     };
                     let mut space = KeyClasses::new(&[&col]);
@@ -601,29 +568,36 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
     }
 }
 
+/// Collect the numeric population of `expr` over `rows` (non-numeric
+/// cells are skipped).
+fn collect_numeric(
+    expr: &Expr,
+    rel: &Relation,
+    rows: Rows<'_>,
+    env: &Env,
+) -> Result<Vec<f64>, IqlError> {
+    // A bare column the kernel refuses (nulls or `Mixed` cells) still
+    // reads infallibly: its numeric cells, unboxed.
+    if let Expr::Ident(name) = expr {
+        if let Some(col) = rel.col_idx(name).map(|c| &rel.cols[c]) {
+            if entries(&col.data).is_none() {
+                let cells: Vec<Option<f64>> = rows.map(|i| col.data.f64_at(col.phys(i)));
+                return Ok(cells.into_iter().flatten().collect());
+            }
+        }
+    }
+    Ok(evaluate(expr, rel, rows, env)?.numbers())
+}
+
 // ---------------------------------------------------------------------------
 // Key classes (GROUP keys, `distinct`, JOIN keys)
 // ---------------------------------------------------------------------------
 
-/// The kind a null-free key column keys its cells by.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KeyKind {
-    Int,
-    Float,
-    Str,
-}
-
-/// The key kind of a column, or `None` when its cells must be keyed by
-/// their rendered form: a column with nulls (`Null` renders like `""`)
-/// or a `Mixed` one (`Int(5)` renders like `Str("5")`).
-fn key_kind(data: &ColumnData) -> Option<KeyKind> {
-    let kind = match data {
-        ColumnData::Int { .. } | ColumnData::RleInt { .. } => KeyKind::Int,
-        ColumnData::Float { .. } | ColumnData::RleFloat { .. } => KeyKind::Float,
-        ColumnData::Str { .. } | ColumnData::Dict { .. } => KeyKind::Str,
-        ColumnData::Mixed(_) => return None,
-    };
-    (data.null_count() == 0).then_some(kind)
+/// The kind a null-free key column keys its cells by: its [`Entries`]
+/// variant. Any other column keys cells by their rendered form (`Null`
+/// renders like `""`, `Int(5)` like `Str("5")`).
+fn key_kind(data: &ColumnData) -> Option<std::mem::Discriminant<Entries<'_>>> {
+    entries(data).as_ref().map(std::mem::discriminant)
 }
 
 /// One cell as a class-space key.
@@ -644,12 +618,17 @@ impl Key<'_> {
 }
 
 /// Index of the RLE run holding physical row `p`. `hint` is the run the
-/// previous call found, so a scan searches once per run, not per row.
+/// previous call found, so an in-order scan never searches.
 fn run_at(ends: &[u64], p: usize, hint: &mut usize) -> usize {
     let p = p as u64;
-    let held = ends.get(*hint).is_some_and(|&e| p < e) && (*hint == 0 || ends[*hint - 1] <= p);
-    if !held {
-        *hint = ends.partition_point(|&e| e <= p);
+    let holds =
+        |run: usize| ends.get(run).is_some_and(|&e| p < e) && (run == 0 || ends[run - 1] <= p);
+    if !holds(*hint) {
+        *hint = if holds(*hint + 1) {
+            *hint + 1
+        } else {
+            ends.partition_point(|&e| e <= p)
+        };
     }
     *hint
 }
@@ -668,12 +647,12 @@ struct KeyClasses<'a> {
     /// The last key classified: runs of equal keys skip the hash.
     last: Option<(Key<'a>, u32)>,
     /// The kind every column of the space has, if they share one.
-    shared: Option<KeyKind>,
+    shared: Option<std::mem::Discriminant<Entries<'a>>>,
 }
 
 impl<'a> KeyClasses<'a> {
-    fn new(cols: &[&ColRef]) -> Self {
-        let kinds: Vec<Option<KeyKind>> = cols.iter().map(|c| key_kind(&c.data)).collect();
+    fn new(cols: &[&'a ColRef]) -> Self {
+        let kinds: Vec<_> = cols.iter().map(|c| key_kind(&c.data)).collect();
         let shared = kinds
             .first()
             .copied()
@@ -705,55 +684,28 @@ impl<'a> KeyClasses<'a> {
     }
 
     /// The class of each of `rows` (logical ordinals of `col`).
-    fn classify(&mut self, col: &'a ColRef, rows: impl IntoIterator<Item = usize>) -> Vec<u32> {
-        let rows = rows.into_iter();
-        let mut out = Vec::with_capacity(rows.size_hint().0);
+    fn classify(&mut self, col: &'a ColRef, rows: Rows<'_>) -> Vec<u32> {
         let kind = key_kind(&col.data);
         let typed = kind.is_some() && kind == self.shared;
-        let mut run = 0;
-        match col.data.as_ref() {
-            ColumnData::Str { values, .. } if kind == Some(KeyKind::Str) => {
-                for i in rows {
-                    out.push(self.class(Key::Text(Cow::Borrowed(&values[col.phys(i)]))));
-                }
+        let mut entry = entry_index(col);
+        match entries(&col.data) {
+            // Through the string: duplicate dictionary entries meet.
+            Some(Entries::Str(values)) => {
+                rows.map(|i| self.class(Key::Text(Cow::Borrowed(&values[entry(i)]))))
             }
-            ColumnData::Dict { codes, dict, .. } if kind == Some(KeyKind::Str) => {
-                // Through the string: duplicate dictionary entries meet.
-                for i in rows {
-                    let entry = &dict[codes[col.phys(i)] as usize];
-                    out.push(self.class(Key::Text(Cow::Borrowed(entry))));
-                }
+            Some(Entries::Int(values)) if typed => {
+                rows.map(|i| self.class(Key::Int(values[entry(i)])))
             }
-            ColumnData::Int { values, .. } if typed => {
-                for i in rows {
-                    out.push(self.class(Key::Int(values[col.phys(i)])));
-                }
-            }
-            ColumnData::RleInt { values, ends } if typed => {
-                for i in rows {
-                    let r = run_at(ends, col.phys(i), &mut run);
-                    out.push(self.class(Key::Int(values[r])));
-                }
-            }
-            ColumnData::Float { values, .. } if typed => {
-                for i in rows {
-                    out.push(self.class(Key::float(values[col.phys(i)])));
-                }
-            }
-            ColumnData::RleFloat { values, ends } if typed => {
-                for i in rows {
-                    let r = run_at(ends, col.phys(i), &mut run);
-                    out.push(self.class(Key::float(values[r])));
-                }
+            Some(Entries::Float(values)) if typed => {
+                rows.map(|i| self.class(Key::float(values[entry(i)])))
             }
             _ => {
-                for i in rows {
-                    out.push(self.class(Key::Text(Cow::Owned(col.value(i).to_string()))));
-                }
+                let out: Vec<u32> =
+                    rows.map(|i| self.class(Key::Text(Cow::Owned(col.value(i).to_string()))));
                 ion_obs::counter("iql.keys.rendered", out.len() as u64);
+                out
             }
         }
-        out
     }
 }
 
@@ -786,538 +738,550 @@ fn refine_groups(gids: &mut [u32], ngroups: usize, classes: &[u32], nclasses: us
     next as usize
 }
 
-/// Collect the numeric population of `expr` over `rows` (non-numeric
-/// cells are skipped). Direct column references read unboxed `f64`s.
-fn collect_numeric(
-    expr: &Expr,
-    rel: &Relation,
-    rows: Rows<'_>,
-    env: &Env,
-) -> Result<Vec<f64>, IqlError> {
-    // Fast path: a bare column reference (columns shadow scalars in row
-    // context, so `Ident ∈ columns` is infallible).
-    if let Expr::Ident(name) = expr {
-        if let Some(c) = rel.col_idx(name) {
-            let col = &rel.cols[c];
-            // Run-expansion fast path: a dense full-length RLE view
-            // expands sequentially in O(rows) instead of paying a
-            // per-row binary search. Emission order is identical to the
-            // per-row loop, so order-sensitive folds (sum/mean/std)
-            // stay bit-identical.
-            if col.sel.is_none() {
-                if let Rows::All(n) = rows {
-                    let expand = |ends: &[u64], get: &dyn Fn(usize) -> f64| -> Vec<f64> {
-                        let mut out = Vec::with_capacity(n);
-                        let mut start = 0usize;
-                        for (run, &e) in ends.iter().enumerate() {
-                            let end = (e as usize).min(n);
-                            out.extend(std::iter::repeat_n(get(run), end.saturating_sub(start)));
-                            start = end;
-                            if start >= n {
-                                break;
-                            }
-                        }
-                        out
-                    };
-                    match col.data.as_ref() {
-                        ColumnData::RleInt { values, ends } => {
-                            return Ok(expand(ends, &|run| values[run] as f64));
-                        }
-                        ColumnData::RleFloat { values, ends } => {
-                            return Ok(expand(ends, &|run| values[run]));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            let mut out = Vec::with_capacity(rows.len());
-            for i in rows.iter() {
-                if let Some(f) = col.f64_at(i) {
-                    out.push(f);
-                }
-            }
-            return Ok(out);
+/// What a column with neither nulls nor `Mixed` cells reads its cells
+/// from: the payload of a dense column, the dictionary of a `Dict`
+/// column, the run values of an RLE column.
+#[derive(Clone, Copy)]
+enum Entries<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a [Arc<str>]),
+}
+
+fn entries(data: &ColumnData) -> Option<Entries<'_>> {
+    let entries = match data {
+        ColumnData::Int { values, .. } | ColumnData::RleInt { values, .. } => Entries::Int(values),
+        ColumnData::Float { values, .. } | ColumnData::RleFloat { values, .. } => {
+            Entries::Float(values)
+        }
+        ColumnData::Str { values, .. } | ColumnData::Dict { dict: values, .. } => {
+            Entries::Str(values)
+        }
+        ColumnData::Mixed(_) => return None,
+    };
+    (data.null_count() == 0).then_some(entries)
+}
+
+/// Maps a logical row of `col` to the entry holding its cell: the
+/// physical row of a dense column, the code of a `Dict` column, the run
+/// of an RLE column.
+fn entry_index(col: &ColRef) -> impl FnMut(usize) -> usize + '_ {
+    let sel = col.sel.as_deref();
+    let (codes, ends) = match col.data.as_ref() {
+        ColumnData::Dict { codes, .. } => (Some(codes), None),
+        ColumnData::RleInt { ends, .. } | ColumnData::RleFloat { ends, .. } => (None, Some(ends)),
+        _ => (None, None),
+    };
+    let mut run = 0;
+    move |i| {
+        let p = sel.map_or(i, |s| s[i] as usize);
+        match (codes, ends) {
+            (Some(codes), _) => codes[p] as usize,
+            (_, Some(ends)) => run_at(ends, p, &mut run),
+            _ => p,
         }
     }
-    let mut out = Vec::with_capacity(rows.len());
-    for i in rows.iter() {
-        let v = eval_row(expr, rel, i, env)?;
-        if let Some(f) = v.as_f64() {
-            out.push(f);
-        }
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Fast kernels (statically-infallible expressions only)
+// Expression kernel: resolved once per evaluation, run column at a time
 // ---------------------------------------------------------------------------
 
-/// Sort-key strategy for a column view.
-enum SortKeys {
-    /// Non-null numeric column: compare as `f64` (legacy `compare_values`
-    /// coerces through `as_f64`, so `i64` keys must NOT compare as
-    /// integers — the difference is observable above 2^53).
-    F64(Vec<f64>),
-    /// Non-null string column: legacy falls through to rendered-text
-    /// comparison, which equals direct content comparison for `Str`.
-    Str,
-    /// Nullable or mixed: materialize values, use `compare_values`.
-    Generic,
+/// A number as the row tier types it. `Int op Int` stays `Int` only when
+/// the result is integral and small, so the type is a per-row fact.
+#[derive(Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
 }
 
-fn sort_keys(col: &ColRef, len: usize) -> SortKeys {
-    match col.data.as_ref() {
-        ColumnData::Int { .. }
-        | ColumnData::Float { .. }
-        | ColumnData::RleInt { .. }
-        | ColumnData::RleFloat { .. }
-            if col.data.null_count() == 0 =>
-        {
-            SortKeys::F64(
-                (0..len)
-                    .map(|i| col.f64_at(i).expect("non-null numeric"))
-                    .collect(),
-            )
-        }
-        ColumnData::Str { .. } | ColumnData::Dict { .. } if col.data.null_count() == 0 => {
-            SortKeys::Str
-        }
-        _ => SortKeys::Generic,
-    }
-}
-
-/// A compiled infallible numeric expression over the relation.
-enum NumNode {
-    Const(f64),
-    Col(usize),
-    Bin(BinaryOp, Box<NumNode>, Box<NumNode>),
-    Neg(Box<NumNode>),
-    Call1(fn(f64) -> f64, Box<NumNode>),
-    Call2(fn(f64, f64) -> f64, Box<NumNode>, Box<NumNode>),
-}
-
-impl NumNode {
-    fn eval(&self, rel: &Relation, i: usize) -> f64 {
+impl Num {
+    fn f64(self) -> f64 {
         match self {
-            NumNode::Const(v) => *v,
-            NumNode::Col(c) => rel.cols[*c].f64_at(i).unwrap_or(0.0),
-            NumNode::Bin(op, a, b) => arith_f64(*op, a.eval(rel, i), b.eval(rel, i)),
-            NumNode::Neg(a) => -a.eval(rel, i),
-            NumNode::Call1(f, a) => f(a.eval(rel, i)),
-            NumNode::Call2(f, a, b) => f(a.eval(rel, i), b.eval(rel, i)),
+            Num::Int(v) => v as f64,
+            Num::Float(v) => v,
+        }
+    }
+
+    fn value(self) -> Value {
+        match self {
+            Num::Int(v) => Value::Int(v),
+            Num::Float(v) => Value::Float(v),
         }
     }
 }
 
-/// Static result type of a compiled numeric expression: whether every
-/// row's legacy value is `Value::Int`, always `Value::Float`, or varies
-/// per row (`Int op Int` keeps `Int` only when the result is integral
-/// and small — not statically known).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum NumTy {
-    Int,
-    Float,
-    Varies,
+/// The six comparison operators.
+#[derive(Clone, Copy)]
+enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
 }
 
-/// Compile `expr` into an infallible unboxed-`f64` program, or `None`
-/// when fallibility or value semantics can't be statically guaranteed.
-fn compile_num(expr: &Expr, rel: &Relation, env: &Env) -> Option<(NumNode, NumTy)> {
-    match expr {
-        Expr::Number(n) => Some((NumNode::Const(*n), NumTy::Float)),
-        Expr::Str(_) => None,
-        Expr::Ident(name) => {
-            if let Some(c) = rel.col_idx(name) {
-                if rel.cols[c].data.null_count() > 0 {
-                    return None;
-                }
-                match rel.cols[c].data.as_ref() {
-                    ColumnData::Int { .. } | ColumnData::RleInt { .. } => {
-                        Some((NumNode::Col(c), NumTy::Int))
-                    }
-                    ColumnData::Float { .. } | ColumnData::RleFloat { .. } => {
-                        Some((NumNode::Col(c), NumTy::Float))
-                    }
-                    _ => None,
-                }
-            } else {
-                match env.scalars.get(name)? {
-                    Value::Int(v) => Some((NumNode::Const(*v as f64), NumTy::Int)),
-                    Value::Float(v) => Some((NumNode::Const(*v), NumTy::Float)),
-                    _ => None,
-                }
-            }
-        }
-        Expr::Unary(UnaryOp::Neg, inner) => {
-            let (n, _) = compile_num(inner, rel, env)?;
-            Some((NumNode::Neg(Box::new(n)), NumTy::Float))
-        }
-        Expr::Unary(UnaryOp::Not, _) => None,
-        Expr::Binary(l, op, r) => {
-            if !matches!(
-                op,
-                BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem
-            ) {
-                return None;
-            }
-            let (ln, lt) = compile_num(l, rel, env)?;
-            let (rn, rt) = compile_num(r, rel, env)?;
-            let ty = if lt == NumTy::Float || rt == NumTy::Float {
-                // At least one operand is always Float: the Int-preserving
-                // rule can never fire, result is always Float.
-                NumTy::Float
-            } else {
-                NumTy::Varies
-            };
-            Some((NumNode::Bin(*op, Box::new(ln), Box::new(rn)), ty))
-        }
-        Expr::Call(name, args) => {
-            let node = match (name.as_str(), args.len()) {
-                ("abs", 1) => {
-                    NumNode::Call1(f64::abs, Box::new(compile_num(&args[0], rel, env)?.0))
-                }
-                ("sqrt", 1) => NumNode::Call1(
-                    |v| v.max(0.0).sqrt(),
-                    Box::new(compile_num(&args[0], rel, env)?.0),
-                ),
-                ("floor", 1) => {
-                    NumNode::Call1(f64::floor, Box::new(compile_num(&args[0], rel, env)?.0))
-                }
-                ("ceil", 1) => {
-                    NumNode::Call1(f64::ceil, Box::new(compile_num(&args[0], rel, env)?.0))
-                }
-                ("round", 1) => {
-                    NumNode::Call1(f64::round, Box::new(compile_num(&args[0], rel, env)?.0))
-                }
-                ("min", 2) => NumNode::Call2(
-                    f64::min,
-                    Box::new(compile_num(&args[0], rel, env)?.0),
-                    Box::new(compile_num(&args[1], rel, env)?.0),
-                ),
-                ("max", 2) => NumNode::Call2(
-                    f64::max,
-                    Box::new(compile_num(&args[0], rel, env)?.0),
-                    Box::new(compile_num(&args[1], rel, env)?.0),
-                ),
-                _ => return None,
-            };
-            Some((node, NumTy::Float))
+impl CmpOp {
+    /// `a op b` as `value_ops::binary` decides it for two numbers or two
+    /// strings: `==`/`!=` by equality, the orderings by `partial_cmp`
+    /// with an unordered pair (a NaN) counting as equal.
+    fn holds<T: PartialOrd + ?Sized>(self, a: &T, b: &T) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let ord = || a.partial_cmp(b).unwrap_or(Equal);
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => ord() == Less,
+            CmpOp::Le => ord() != Greater,
+            CmpOp::Gt => ord() == Greater,
+            CmpOp::Ge => ord() != Less,
         }
     }
 }
 
-/// Fast boolean mask for a predicate, or `None` when any subexpression
-/// could error or needs per-row `Value` semantics we don't specialize.
-fn fast_filter_mask(pred: &Expr, rel: &Relation, env: &Env) -> Option<Vec<bool>> {
-    match pred {
-        Expr::Binary(l, BinaryOp::And, r) => {
-            let (a, b) = (
-                fast_filter_mask(l, rel, env)?,
-                fast_filter_mask(r, rel, env)?,
-            );
-            Some(a.iter().zip(&b).map(|(&x, &y)| x && y).collect())
-        }
-        Expr::Binary(l, BinaryOp::Or, r) => {
-            let (a, b) = (
-                fast_filter_mask(l, rel, env)?,
-                fast_filter_mask(r, rel, env)?,
-            );
-            Some(a.iter().zip(&b).map(|(&x, &y)| x || y).collect())
-        }
-        Expr::Unary(UnaryOp::Not, inner) => {
-            let mut m = fast_filter_mask(inner, rel, env)?;
-            for b in &mut m {
-                *b = !*b;
-            }
-            Some(m)
-        }
-        Expr::Binary(l, op, r)
-            if matches!(
-                op,
-                BinaryOp::Eq
-                    | BinaryOp::Ne
-                    | BinaryOp::Lt
-                    | BinaryOp::Le
-                    | BinaryOp::Gt
-                    | BinaryOp::Ge
-            ) =>
-        {
-            cmp_mask(l, *op, r, rel, env)
-        }
-        Expr::Call(name, args) if name == "contains" && args.len() == 2 => {
-            contains_mask(&args[0], &args[1], rel, env)
-        }
-        // Bare truthiness of a column, literal, or bound scalar.
-        Expr::Number(n) => Some(vec![Value::Float(*n).truthy(); rel.len]),
-        Expr::Str(s) => Some(vec![!s.is_empty(); rel.len]),
-        Expr::Ident(name) => {
-            if let Some(c) = rel.col_idx(name) {
-                let col = &rel.cols[c];
-                Some((0..rel.len).map(|i| col.value(i).truthy()).collect())
-            } else {
-                let v = env.scalars.get(name)?;
-                Some(vec![v.truthy(); rel.len])
-            }
-        }
-        _ => None,
-    }
-}
+/// A column view bound with its [`Entries`].
+struct Leaf<'a, T>(&'a ColRef, &'a [T]);
 
-/// Comparison operand: a typed column or a constant value.
-enum CmpSide {
-    NumCol(usize),
-    StrCol(usize),
-    Num(NumNode),
-    Const(Value),
-}
-
-fn cmp_side(e: &Expr, rel: &Relation, env: &Env) -> Option<CmpSide> {
-    if let Expr::Ident(name) = e {
-        if let Some(c) = rel.col_idx(name) {
-            let data = rel.cols[c].data.as_ref();
-            if data.null_count() > 0 {
-                return None;
-            }
-            return match data {
-                ColumnData::Int { .. }
-                | ColumnData::Float { .. }
-                | ColumnData::RleInt { .. }
-                | ColumnData::RleFloat { .. } => Some(CmpSide::NumCol(c)),
-                ColumnData::Str { .. } | ColumnData::Dict { .. } => Some(CmpSide::StrCol(c)),
-                ColumnData::Mixed(_) => None,
-            };
-        }
-        return env.scalars.get(name).cloned().map(CmpSide::Const);
-    }
-    match e {
-        Expr::Number(n) => Some(CmpSide::Const(Value::Float(*n))),
-        Expr::Str(s) => Some(CmpSide::Const(Value::Str(s.as_str().into()))),
-        _ => compile_num(e, rel, env).map(|(n, _)| CmpSide::Num(n)),
-    }
-}
-
-/// Legacy comparison result for two `f64`-coercible values.
-#[inline]
-fn cmp_f64(op: BinaryOp, x: f64, y: f64) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        BinaryOp::Eq => x == y,
-        BinaryOp::Ne => x != y,
-        _ => {
-            let ord = x.partial_cmp(&y).unwrap_or(Ordering::Equal);
-            match op {
-                BinaryOp::Lt => ord == Ordering::Less,
-                BinaryOp::Le => ord != Ordering::Greater,
-                BinaryOp::Gt => ord == Ordering::Greater,
-                BinaryOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
+impl<'a, T> Leaf<'a, T> {
+    fn read<U>(&self, at: Domain<'_>, f: impl Fn(&'a T) -> U) -> Vec<U> {
+        let Leaf(col, entries) = *self;
+        match at {
+            Domain::Entries(_) => entries.iter().map(f).collect(),
+            Domain::Rows(rows) => {
+                let mut entry = entry_index(col);
+                rows.map(|i| f(&entries[entry(i)]))
             }
         }
     }
 }
 
-/// Run-fill comparison: a dense full-view RLE column against a numeric
-/// constant decides each *run* once and repeats the verdict, instead of
-/// paying a per-row binary search. Bit-identical to the per-row path —
-/// each row's verdict is exactly `cmp_f64` over the same operands.
-fn rle_const_mask(
-    col_side: &CmpSide,
-    const_side: &CmpSide,
-    op: BinaryOp,
-    rel: &Relation,
-    flipped: bool,
-) -> Option<Vec<bool>> {
-    let CmpSide::NumCol(c) = col_side else {
-        return None;
-    };
-    let CmpSide::Const(v) = const_side else {
-        return None;
-    };
-    let k = v.as_f64()?;
-    let col = &rel.cols[*c];
-    if col.sel.is_some() {
-        return None;
-    }
-    let n = rel.len;
-    let mut mask = Vec::with_capacity(n);
-    let mut fill = |runs: &mut dyn Iterator<Item = (f64, u64)>| {
-        let mut start = 0usize;
-        for (v, e) in runs {
-            let keep = if flipped {
-                cmp_f64(op, k, v)
-            } else {
-                cmp_f64(op, v, k)
-            };
-            let end = (e as usize).min(n);
-            mask.extend(std::iter::repeat_n(keep, end.saturating_sub(start)));
-            start = end;
-            if start >= n {
-                break;
-            }
-        }
-    };
-    match col.data.as_ref() {
-        ColumnData::RleInt { values, ends } => {
-            fill(&mut values.iter().zip(ends).map(|(&v, &e)| (v as f64, e)));
-        }
-        ColumnData::RleFloat { values, ends } => {
-            fill(&mut values.iter().zip(ends).map(|(&v, &e)| (v, e)));
-        }
-        _ => return None,
-    }
-    (mask.len() == n).then_some(mask)
+/// Where a kernel evaluates: the relation's logical rows, or each entry
+/// of the one column it reads.
+#[derive(Clone, Copy)]
+enum Domain<'r> {
+    Rows(Rows<'r>),
+    Entries(usize),
 }
 
-fn cmp_mask(l: &Expr, op: BinaryOp, r: &Expr, rel: &Relation, env: &Env) -> Option<Vec<bool>> {
-    let ls = cmp_side(l, rel, env)?;
-    let rs = cmp_side(r, rel, env)?;
-    let n = rel.len;
-    if let Some(mask) =
-        rle_const_mask(&ls, &rs, op, rel, false).or_else(|| rle_const_mask(&rs, &ls, op, rel, true))
-    {
-        return Some(mask);
-    }
-    // f64 view of a side, when it is numeric for every row.
-    let num_at = |s: &CmpSide, i: usize| -> Option<f64> {
-        match s {
-            CmpSide::NumCol(c) => rel.cols[*c].f64_at(i),
-            CmpSide::Num(node) => Some(node.eval(rel, i)),
-            CmpSide::Const(v) => v.as_f64(),
-            CmpSide::StrCol(_) => None,
+impl Domain<'_> {
+    fn len(self) -> usize {
+        match self {
+            Domain::Rows(rows) => rows.len(),
+            Domain::Entries(n) => n,
         }
-    };
-    let numeric = |s: &CmpSide| {
-        matches!(s, CmpSide::NumCol(_) | CmpSide::Num(_))
-            || matches!(s, CmpSide::Const(v) if v.as_f64().is_some())
-    };
-    if numeric(&ls) && numeric(&rs) {
-        return Some(
-            (0..n)
-                .map(|i| {
-                    cmp_f64(
-                        op,
-                        num_at(&ls, i).expect("numeric side"),
-                        num_at(&rs, i).expect("numeric side"),
-                    )
-                })
-                .collect(),
-        );
     }
-    // String column vs string constant (either direction): legacy Eq/Ne
-    // compares contents; the orderings fall through to rendered text,
-    // which for two non-null strings is content comparison.
-    let str_pair = match (&ls, &rs) {
-        (CmpSide::StrCol(c), CmpSide::Const(Value::Str(s))) => Some((*c, s.clone(), false)),
-        (CmpSide::Const(Value::Str(s)), CmpSide::StrCol(c)) => Some((*c, s.clone(), true)),
-        _ => None,
-    };
-    if let Some((c, konst, flipped)) = str_pair {
-        let verdict = |cell: &str| {
-            let (x, y) = if flipped {
-                (konst.as_ref(), cell)
-            } else {
-                (cell, konst.as_ref())
-            };
-            match op {
-                BinaryOp::Eq => x == y,
-                BinaryOp::Ne => x != y,
-                BinaryOp::Lt => x < y,
-                BinaryOp::Le => x <= y,
-                BinaryOp::Gt => x > y,
-                BinaryOp::Ge => x >= y,
-                _ => unreachable!(),
-            }
+}
+
+/// A resolved expression whose rows are numbers.
+enum NumExpr<'a> {
+    Const(Num),
+    Int(Leaf<'a, i64>),
+    Float(Leaf<'a, f64>),
+    Arith(BinaryOp, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
+    /// A function of one number, such as `floor` or negation.
+    Math(fn(f64) -> f64, Box<NumExpr<'a>>),
+    Math2(fn(f64, f64) -> f64, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
+    /// A predicate read as `Int` 0/1.
+    Bool(Box<BoolExpr<'a>>),
+    If(Box<BoolExpr<'a>>, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
+    /// An expression that reads no column but one `Dict` or RLE column,
+    /// decided once per dictionary string or run (see [`per_entry`]).
+    PerEntry(&'a ColRef, Box<NumExpr<'a>>),
+}
+
+/// A resolved expression whose rows are `Int` 0/1, kept as a mask.
+enum BoolExpr<'a> {
+    Truthy(Box<NumExpr<'a>>),
+    NonEmpty(Box<StrExpr<'a>>),
+    Not(Box<BoolExpr<'a>>),
+    And(Box<BoolExpr<'a>>, Box<BoolExpr<'a>>),
+    Or(Box<BoolExpr<'a>>, Box<BoolExpr<'a>>),
+    Cmp(CmpOp, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
+    StrCmp(CmpOp, Box<StrExpr<'a>>, Box<StrExpr<'a>>),
+    Contains(Box<StrExpr<'a>>, Box<StrExpr<'a>>),
+    PerEntry(&'a ColRef, Box<BoolExpr<'a>>),
+}
+
+/// A resolved expression whose rows are strings.
+enum StrExpr<'a> {
+    Const(Arc<str>),
+    Col(Leaf<'a, Arc<str>>),
+    If(Box<BoolExpr<'a>>, Box<StrExpr<'a>>, Box<StrExpr<'a>>),
+    PerEntry(&'a ColRef, Box<StrExpr<'a>>),
+}
+
+/// A resolved expression, by the static type of its rows.
+enum Kernel<'a> {
+    Num(NumExpr<'a>),
+    Bool(BoolExpr<'a>),
+    Str(StrExpr<'a>),
+}
+
+impl<'a> Kernel<'a> {
+    /// `expr` resolved against the live relation and scalars, or `None`
+    /// when some row could error or `expr` reads a column with nulls or
+    /// `Mixed` cells.
+    fn resolve(expr: &Expr, rel: &'a Relation, env: &Env) -> Option<Self> {
+        let mut resolver = Resolver {
+            rel,
+            env,
+            slots: Vec::new(),
         };
-        let col = &rel.cols[c];
-        return Some(match col.data.as_ref() {
-            ColumnData::Str { values, .. } => {
-                (0..n).map(|i| verdict(&values[col.phys(i)])).collect()
-            }
-            ColumnData::Dict { codes, dict, .. } => {
-                // Decide once per dictionary entry, then map codes.
-                let per_entry: Vec<bool> = dict.iter().map(|d| verdict(d)).collect();
-                (0..n)
-                    .map(|i| per_entry[codes[col.phys(i)] as usize])
-                    .collect()
-            }
-            _ => unreachable!(),
-        });
+        resolver.resolve(expr)
     }
-    // Constant-vs-constant: comparisons never error; evaluate once.
-    if let (CmpSide::Const(a), CmpSide::Const(b)) = (&ls, &rs) {
-        let v = binary(op, a.clone(), b.clone()).ok()?;
-        return Some(vec![v.truthy(); n]);
+
+    /// The same kernel, decided once per entry of `col`.
+    fn per_entry(self, col: &'a ColRef) -> Self {
+        match self {
+            Kernel::Num(e) => Kernel::Num(NumExpr::PerEntry(col, Box::new(e))),
+            Kernel::Bool(e) => Kernel::Bool(BoolExpr::PerEntry(col, Box::new(e))),
+            Kernel::Str(e) => Kernel::Str(StrExpr::PerEntry(col, Box::new(e))),
+        }
     }
-    None
+
+    /// As an arithmetic operand: numbers, and masks as `Int` 0/1.
+    /// Strings would fail the row tier's `num`.
+    fn into_num(self) -> Option<Box<NumExpr<'a>>> {
+        match self {
+            Kernel::Num(e) => Some(Box::new(e)),
+            Kernel::Bool(e) => Some(Box::new(NumExpr::Bool(Box::new(e)))),
+            Kernel::Str(_) => None,
+        }
+    }
+
+    /// As a condition: each row's truthiness.
+    fn into_mask(self) -> Box<BoolExpr<'a>> {
+        Box::new(match self {
+            Kernel::Num(e) => BoolExpr::Truthy(Box::new(e)),
+            Kernel::Bool(e) => e,
+            Kernel::Str(e) => BoolExpr::NonEmpty(Box::new(e)),
+        })
+    }
+
+    fn eval(&self, at: Domain<'_>) -> Cells {
+        match self {
+            Kernel::Num(e) => Cells::Num(e.eval(at)),
+            Kernel::Bool(e) => Cells::Bool(e.eval(at)),
+            Kernel::Str(e) => Cells::Str(e.eval(at)),
+        }
+    }
 }
 
-fn contains_mask(hay: &Expr, needle: &Expr, rel: &Relation, env: &Env) -> Option<Vec<bool>> {
-    let needle = match needle {
-        Expr::Str(s) => Arc::<str>::from(s.as_str()),
-        Expr::Ident(name) if rel.col_idx(name).is_none() => match env.scalars.get(name)? {
-            Value::Str(s) => Arc::clone(s),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let Expr::Ident(name) = hay else { return None };
-    let c = rel.col_idx(name)?;
-    let col = &rel.cols[c];
-    if col.data.null_count() > 0 {
-        return None;
+fn map<A, T>(a: Vec<A>, f: impl Fn(A) -> T) -> Vec<T> {
+    a.into_iter().map(f).collect()
+}
+
+fn zip<A, B, T>(a: Vec<A>, b: Vec<B>, f: impl Fn(A, B) -> T) -> Vec<T> {
+    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
+}
+
+/// `f` of each row's two numbers; a constant side is read once.
+fn pair<T>(a: &NumExpr, b: &NumExpr, at: Domain<'_>, f: impl Fn(Num, Num) -> T) -> Vec<T> {
+    match (a, b) {
+        (NumExpr::Const(x), _) => map(b.eval(at), |y| f(*x, y)),
+        (_, NumExpr::Const(y)) => map(a.eval(at), |x| f(x, *y)),
+        _ => zip(a.eval(at), b.eval(at), f),
     }
-    match col.data.as_ref() {
-        ColumnData::Str { values, .. } => Some(
-            (0..rel.len)
-                .map(|i| values[col.phys(i)].contains(needle.as_ref()))
-                .collect(),
-        ),
-        ColumnData::Dict { codes, dict, .. } => {
-            // One substring scan per distinct string, not per row.
-            let per_entry: Vec<bool> = dict.iter().map(|d| d.contains(needle.as_ref())).collect();
-            Some(
-                (0..rel.len)
-                    .map(|i| per_entry[codes[col.phys(i)] as usize])
-                    .collect(),
-            )
+}
+
+/// `eval` over the entries of `col` (a `Dict` or RLE column), spread to
+/// the rows of `at`: each dictionary string or run is decided once.
+/// Over fewer rows than entries, or inside such an evaluation, it is
+/// `eval(at)`.
+fn per_entry<T: Clone>(
+    col: &ColRef,
+    at: Domain<'_>,
+    eval: impl Fn(Domain<'_>) -> Vec<T>,
+) -> Vec<T> {
+    match (at, entry_count(col)) {
+        (Domain::Rows(rows), Some(n)) if n <= rows.len() => {
+            let cells = eval(Domain::Entries(n));
+            let mut entry = entry_index(col);
+            rows.map(|i| cells[entry(i)].clone())
         }
+        _ => eval(at),
+    }
+}
+
+/// The number of dictionary strings of a `Dict` column or runs of an RLE
+/// column.
+fn entry_count(col: &ColRef) -> Option<usize> {
+    match col.data.as_ref() {
+        ColumnData::Dict { dict, .. } => Some(dict.len()),
+        ColumnData::RleInt { ends, .. } | ColumnData::RleFloat { ends, .. } => Some(ends.len()),
         _ => None,
     }
 }
 
-/// Fast vectorized DERIVE: either a boolean-mask-shaped expression
-/// (legacy yields `Int` 0/1) or a statically-`Float` numeric expression.
-fn fast_derive(expr: &Expr, rel: &Relation, env: &Env) -> Option<ColumnData> {
-    if let Some((node, NumTy::Float)) = compile_num(expr, rel, env) {
-        let values: Vec<f64> = (0..rel.len).map(|i| node.eval(rel, i)).collect();
-        return Some(ColumnData::Float {
-            values,
-            validity: None,
-        });
+/// `if(mask, a, b)` per row.
+fn select<T>(mask: Vec<bool>, a: Vec<T>, b: Vec<T>) -> Vec<T> {
+    let picks = mask.into_iter().zip(a.into_iter().zip(b));
+    picks.map(|(m, (x, y))| if m { x } else { y }).collect()
+}
+
+impl NumExpr<'_> {
+    fn eval(&self, at: Domain<'_>) -> Vec<Num> {
+        match self {
+            NumExpr::Const(v) => vec![*v; at.len()],
+            NumExpr::Int(leaf) => leaf.read(at, |&v| Num::Int(v)),
+            NumExpr::Float(leaf) => leaf.read(at, |&v| Num::Float(v)),
+            NumExpr::Arith(op, a, b) => pair(a, b, at, |x, y| {
+                let v = arith_f64(*op, x.f64(), y.f64());
+                match (x, y) {
+                    (Num::Int(_), Num::Int(_)) if stays_int(v) => Num::Int(v as i64),
+                    _ => Num::Float(v),
+                }
+            }),
+            NumExpr::Math(f, x) => map(x.eval(at), |v| Num::Float(f(v.f64()))),
+            NumExpr::Math2(f, a, b) => pair(a, b, at, |x, y| Num::Float(f(x.f64(), y.f64()))),
+            NumExpr::Bool(m) => map(m.eval(at), |b| Num::Int(b.into())),
+            NumExpr::If(c, a, b) => {
+                let mask = c.eval(at);
+                match (&**a, &**b) {
+                    (_, NumExpr::Const(y)) => zip(mask, a.eval(at), |m, x| if m { x } else { *y }),
+                    (NumExpr::Const(x), _) => zip(mask, b.eval(at), |m, y| if m { *x } else { y }),
+                    _ => select(mask, a.eval(at), b.eval(at)),
+                }
+            }
+            NumExpr::PerEntry(col, e) => per_entry(col, at, |at| e.eval(at)),
+        }
     }
-    // Mask-shaped: comparisons, logic, contains — all produce Int 0/1.
-    if matches!(
-        expr,
-        Expr::Binary(
-            _,
-            BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Eq
-                | BinaryOp::Ne
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge,
-            _
-        ) | Expr::Unary(UnaryOp::Not, _)
-            | Expr::Call(_, _)
-    ) {
-        let mask = fast_filter_mask(expr, rel, env)?;
-        return Some(ColumnData::Int {
-            values: mask.iter().map(|&b| i64::from(b)).collect(),
-            validity: None,
-        });
+}
+
+impl BoolExpr<'_> {
+    fn eval(&self, at: Domain<'_>) -> Vec<bool> {
+        match self {
+            BoolExpr::Truthy(x) => map(x.eval(at), |v| v.f64() != 0.0),
+            BoolExpr::NonEmpty(s) => map(s.eval(at), |s| !s.is_empty()),
+            BoolExpr::Not(m) => map(m.eval(at), |b| !b),
+            BoolExpr::And(a, b) => zip(a.eval(at), b.eval(at), |x, y| x && y),
+            BoolExpr::Or(a, b) => zip(a.eval(at), b.eval(at), |x, y| x || y),
+            BoolExpr::Cmp(op, a, b) => pair(a, b, at, |x, y| op.holds(&x.f64(), &y.f64())),
+            BoolExpr::StrCmp(op, a, b) => zip(a.eval(at), b.eval(at), |x, y| op.holds(&*x, &*y)),
+            BoolExpr::Contains(h, n) => zip(h.eval(at), n.eval(at), |h, n| h.contains(&*n)),
+            BoolExpr::PerEntry(col, e) => per_entry(col, at, |at| e.eval(at)),
+        }
     }
-    None
+}
+
+impl StrExpr<'_> {
+    fn eval(&self, at: Domain<'_>) -> Vec<Arc<str>> {
+        match self {
+            StrExpr::Const(s) => vec![Arc::clone(s); at.len()],
+            StrExpr::Col(leaf) => leaf.read(at, Arc::clone),
+            StrExpr::If(c, a, b) => select(c.eval(at), a.eval(at), b.eval(at)),
+            StrExpr::PerEntry(col, e) => per_entry(col, at, |at| e.eval(at)),
+        }
+    }
+}
+
+/// Binds an expression's names against the live relation and scalars.
+struct Resolver<'a, 'e> {
+    rel: &'a Relation,
+    env: &'e Env,
+    /// Slots of the columns bound so far.
+    slots: Vec<usize>,
+}
+
+impl<'a> Resolver<'a, '_> {
+    /// The kernel for `e`; a computation that reads one `Dict` or RLE
+    /// column and no other is decided once per entry of that column.
+    fn resolve(&mut self, e: &Expr) -> Option<Kernel<'a>> {
+        let start = self.slots.len();
+        let kernel = self.bind(e)?;
+        Some(match self.slots[start..].split_first() {
+            Some((&slot, rest))
+                if rest.iter().all(|&s| s == slot) && !matches!(e, Expr::Ident(_)) =>
+            {
+                let col = &self.rel.cols[slot];
+                match entry_count(col) {
+                    Some(_) => kernel.per_entry(col),
+                    None => kernel,
+                }
+            }
+            _ => kernel,
+        })
+    }
+
+    fn bind(&mut self, e: &Expr) -> Option<Kernel<'a>> {
+        if !self.reads_column(e) {
+            // The same value on every row: the row tier's, computed once.
+            return match eval_row(e, self.rel, 0, self.env).ok()? {
+                Value::Int(v) => Some(Kernel::Num(NumExpr::Const(Num::Int(v)))),
+                Value::Float(v) => Some(Kernel::Num(NumExpr::Const(Num::Float(v)))),
+                Value::Str(s) => Some(Kernel::Str(StrExpr::Const(s))),
+                Value::Null => None,
+            };
+        }
+        match e {
+            // Literals read no column, so the fold above took them.
+            Expr::Number(_) | Expr::Str(_) => None,
+            Expr::Ident(name) => self.column(name),
+            Expr::Unary(UnaryOp::Neg, x) => Some(Kernel::Num(NumExpr::Math(|v| -v, self.num(x)?))),
+            Expr::Unary(UnaryOp::Not, x) => Some(Kernel::Bool(BoolExpr::Not(self.mask(x)?))),
+            Expr::Binary(l, op, r) => self.binary(*op, l, r),
+            Expr::Call(name, args) => self.call(name, args),
+        }
+    }
+
+    fn reads_column(&self, e: &Expr) -> bool {
+        match e {
+            Expr::Number(_) | Expr::Str(_) => false,
+            Expr::Ident(name) => self.rel.col_idx(name).is_some(),
+            Expr::Unary(_, x) => self.reads_column(x),
+            Expr::Binary(l, _, r) => self.reads_column(l) || self.reads_column(r),
+            Expr::Call(_, args) => args.iter().any(|a| self.reads_column(a)),
+        }
+    }
+
+    fn column(&mut self, name: &str) -> Option<Kernel<'a>> {
+        let slot = self.rel.col_idx(name)?;
+        let col = &self.rel.cols[slot];
+        let node = match entries(&col.data)? {
+            Entries::Int(values) => Kernel::Num(NumExpr::Int(Leaf(col, values))),
+            Entries::Float(values) => Kernel::Num(NumExpr::Float(Leaf(col, values))),
+            Entries::Str(values) => Kernel::Str(StrExpr::Col(Leaf(col, values))),
+        };
+        self.slots.push(slot);
+        Some(node)
+    }
+
+    fn num(&mut self, e: &Expr) -> Option<Box<NumExpr<'a>>> {
+        self.resolve(e)?.into_num()
+    }
+
+    fn mask(&mut self, e: &Expr) -> Option<Box<BoolExpr<'a>>> {
+        Some(self.resolve(e)?.into_mask())
+    }
+
+    fn binary(&mut self, op: BinaryOp, l: &Expr, r: &Expr) -> Option<Kernel<'a>> {
+        let cmp = match op {
+            BinaryOp::And => {
+                return Some(Kernel::Bool(BoolExpr::And(self.mask(l)?, self.mask(r)?)))
+            }
+            BinaryOp::Or => return Some(Kernel::Bool(BoolExpr::Or(self.mask(l)?, self.mask(r)?))),
+            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem => {
+                return Some(Kernel::Num(NumExpr::Arith(op, self.num(l)?, self.num(r)?)));
+            }
+            BinaryOp::Eq => CmpOp::Eq,
+            BinaryOp::Ne => CmpOp::Ne,
+            BinaryOp::Lt => CmpOp::Lt,
+            BinaryOp::Le => CmpOp::Le,
+            BinaryOp::Gt => CmpOp::Gt,
+            BinaryOp::Ge => CmpOp::Ge,
+        };
+        Some(Kernel::Bool(match (self.resolve(l)?, self.resolve(r)?) {
+            (Kernel::Str(a), Kernel::Str(b)) => BoolExpr::StrCmp(cmp, Box::new(a), Box::new(b)),
+            // A string against a number compares rendered text: row tier.
+            (a, b) => BoolExpr::Cmp(cmp, a.into_num()?, b.into_num()?),
+        }))
+    }
+
+    fn call(&mut self, name: &str, args: &[Expr]) -> Option<Kernel<'a>> {
+        if let ("min" | "max", [a, b]) = (name, args) {
+            let f = if name == "min" { f64::min } else { f64::max };
+            return Some(Kernel::Num(NumExpr::Math2(f, self.num(a)?, self.num(b)?)));
+        }
+        let (f, x): (fn(f64) -> f64, _) = match (name, args) {
+            ("abs", [x]) => (f64::abs, x),
+            ("sqrt", [x]) => (|v| v.max(0.0).sqrt(), x),
+            ("floor", [x]) => (f64::floor, x),
+            ("ceil", [x]) => (f64::ceil, x),
+            ("round", [x]) => (f64::round, x),
+            ("if", [c, a, b]) => {
+                let c = self.mask(c)?;
+                return Some(match (self.resolve(a)?, self.resolve(b)?) {
+                    (Kernel::Str(a), Kernel::Str(b)) => {
+                        Kernel::Str(StrExpr::If(c, Box::new(a), Box::new(b)))
+                    }
+                    (a, b) => Kernel::Num(NumExpr::If(c, a.into_num()?, b.into_num()?)),
+                });
+            }
+            ("contains", [h, n]) => {
+                return match (self.resolve(h)?, self.resolve(n)?) {
+                    (Kernel::Str(h), Kernel::Str(n)) => {
+                        Some(Kernel::Bool(BoolExpr::Contains(Box::new(h), Box::new(n))))
+                    }
+                    _ => None,
+                };
+            }
+            _ => return None,
+        };
+        Some(Kernel::Num(NumExpr::Math(f, self.num(x)?)))
+    }
+}
+
+/// One cell per row: the kernel's typed vectors, or the row tier's
+/// values.
+enum Cells {
+    Num(Vec<Num>),
+    Bool(Vec<bool>),
+    Str(Vec<Arc<str>>),
+    Values(Vec<Value>),
+}
+
+impl Cells {
+    /// Each row's truthiness (`FILTER`).
+    fn mask(self) -> Vec<bool> {
+        match self {
+            Cells::Num(v) => map(v, |x| x.f64() != 0.0),
+            Cells::Bool(v) => v,
+            Cells::Str(v) => map(v, |s| !s.is_empty()),
+            Cells::Values(v) => v.iter().map(Value::truthy).collect(),
+        }
+    }
+
+    /// The numeric cells in row order, strings and nulls skipped
+    /// (aggregate populations).
+    fn numbers(self) -> Vec<f64> {
+        match self {
+            Cells::Num(v) => map(v, Num::f64),
+            Cells::Bool(v) => map(v, |b| f64::from(u8::from(b))),
+            Cells::Str(_) => Vec::new(),
+            Cells::Values(v) => v.iter().filter_map(Value::as_f64).collect(),
+        }
+    }
+
+    /// The column that pushing each row's value builds (`DERIVE`,
+    /// `distinct`).
+    fn column(self) -> ColumnData {
+        match self {
+            // `push` keeps a column `Int` or `Float` while every row
+            // agrees, and turns it `Mixed` at the first that does not.
+            Cells::Num(v) => {
+                let ints: Option<Vec<i64>> = v
+                    .iter()
+                    .map(|x| match *x {
+                        Num::Int(i) => Some(i),
+                        Num::Float(_) => None,
+                    })
+                    .collect();
+                let floats: Option<Vec<f64>> = v
+                    .iter()
+                    .map(|x| match *x {
+                        Num::Float(f) => Some(f),
+                        Num::Int(_) => None,
+                    })
+                    .collect();
+                match (ints, floats) {
+                    (Some(values), _) => ColumnData::Int {
+                        values,
+                        validity: None,
+                    },
+                    (None, Some(values)) => ColumnData::Float {
+                        values,
+                        validity: None,
+                    },
+                    (None, None) => ColumnData::Mixed(map(v, Num::value)),
+                }
+            }
+            Cells::Bool(v) => ColumnData::Int {
+                values: map(v, i64::from),
+                validity: None,
+            },
+            Cells::Str(v) => ColumnData::from_values(v.into_iter().map(Value::Str)),
+            Cells::Values(v) => ColumnData::from_values(v),
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! IQL — the I/O Query Language the simulated model writes analysis in.
 //!
-//! IQL is a small, line-oriented query language over the extractor's CSV
+//! IQL is a small, line-oriented query language over the extractor's
 //! tables. A program is a pipeline of statements:
 //!
 //! ```text
@@ -25,7 +25,8 @@
 //!
 //! Aggregate functions: `sum`, `count`, `mean`, `min`, `max`, `std`,
 //! `distinct`, `pct(col, p)` (percentile). Scalar functions: `abs`, `min`,
-//! `max`, `sqrt`, `if(cond, a, b)`.
+//! `max`, `sqrt`, `floor`, `ceil`, `round`, `if(cond, a, b)`,
+//! `contains(haystack, needle)`.
 //!
 //! A program may start with `EXPLAIN`, which asks the engine to render
 //! its execution plan — one operator per statement, with the columns live
@@ -33,9 +34,10 @@
 //!
 //! Execution is planned and vectorized: a program lowers 1:1 to a logical
 //! [`Plan`] (`plan` module) and a columnar executor runs its statements
-//! in the order they were written. The original tree-walking interpreter
-//! survives behind the `legacy-eval` feature purely as the oracle for
-//! differential tests.
+//! in the order they were written, each expression through one typed
+//! kernel or, where that could error or meets nulls, row at a time. The
+//! original tree-walking interpreter survives behind the `legacy-eval`
+//! feature purely as the oracle for differential tests.
 
 mod ast;
 mod eval;

@@ -24,20 +24,13 @@ pub(crate) fn unique_columns<'a>(
     }
 }
 
-/// Functions that aggregate rows when called (with aggregate arity)
-/// inside an `AGG`/`GROUP … AGG` expression.
-pub(crate) const AGG_FNS: [&str; 8] = [
-    "sum", "count", "mean", "min", "max", "std", "distinct", "pct",
-];
-
-/// Whether `name(args)` is an aggregate call in aggregate context
-/// (`min`/`max` with two args stay scalar).
+/// Whether `name(args)` aggregates rows in aggregate context (`AGG`,
+/// `GROUP … AGG`); `min`/`max` with two args stay scalar.
 pub(crate) fn is_agg_call(name: &str, argc: usize) -> bool {
-    AGG_FNS.contains(&name)
-        && matches!(
-            (name, argc),
-            ("count", 0) | ("sum" | "mean" | "min" | "max" | "std" | "distinct", 1) | ("pct", 2)
-        )
+    matches!(
+        (name, argc),
+        ("count", 0) | ("sum" | "mean" | "min" | "max" | "std" | "distinct", 1) | ("pct", 2)
+    )
 }
 
 /// Scalar environment: variables bound by `LET` and `AGG`.
@@ -92,16 +85,19 @@ pub(crate) fn binary(op: BinaryOp, l: Value, r: Value) -> Result<Value, IqlError
             let a = num(&l, "left operand")?;
             let b = num(&r, "right operand")?;
             let v = arith_f64(op, a, b);
-            if v.fract() == 0.0
-                && v.abs() < 9e15
-                && matches!((l, r), (Value::Int(_), Value::Int(_)))
-            {
+            if stays_int(v) && matches!((l, r), (Value::Int(_), Value::Int(_))) {
                 Value::Int(v as i64)
             } else {
                 Value::Float(v)
             }
         }
     })
+}
+
+/// Whether `Int op Int` with result `v` stays `Int`: `v` is integral and
+/// below 9e15 in magnitude, so `v as i64` is exact.
+pub(crate) fn stays_int(v: f64) -> bool {
+    v.fract() == 0.0 && v.abs() < 9e15
 }
 
 /// The `f64` arithmetic kernel behind [`binary`]; the vectorized executor

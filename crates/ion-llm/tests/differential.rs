@@ -149,6 +149,31 @@ fn random_ident(rng: &mut SmallRng) -> &'static str {
     IDENTS[rng.gen_range(0..IDENTS.len())]
 }
 
+/// An integer, float or string literal.
+fn random_literal(rng: &mut SmallRng) -> String {
+    match rng.gen_range(0..3_u8) {
+        0 => rng.gen_range(-3..4_i32).to_string(),
+        1 => format!("{:.2}", f64::from(rng.gen_range(0..10_i32)) / 4.0),
+        _ => format!("\"{}\"", STR_POOL[rng.gen_range(0..STR_POOL.len())]),
+    }
+}
+
+/// `ident op rhs`, with a literal or an identifier on the right.
+fn random_comparison(rng: &mut SmallRng) -> String {
+    const CMPS: [&str; 6] = ["==", "!=", "<", "<=", ">", ">="];
+    let rhs = match rng.gen_range(0..3_u8) {
+        0 => rng.gen_range(-2..3_i32).to_string(),
+        1 => format!("\"{}\"", STR_POOL[rng.gen_range(0..STR_POOL.len())]),
+        _ => random_ident(rng).to_string(),
+    };
+    format!(
+        "{} {} {}",
+        random_ident(rng),
+        CMPS[rng.gen_range(0..CMPS.len())],
+        rhs
+    )
+}
+
 fn random_expr(rng: &mut SmallRng, depth: u32) -> String {
     let leaf = depth == 0 || rng.gen_range(0..3_u8) == 0;
     if leaf {
@@ -228,30 +253,30 @@ fn random_program(rng: &mut SmallRng) -> String {
     for _ in 0..rng.gen_range(1..7_usize) {
         match rng.gen_range(0..9_u8) {
             0 => {
-                // Half the filters are kept fast-path shaped
-                // (`col op literal`) so the vectorized comparison /
-                // contains kernels are exercised, not just the generic
-                // row-at-a-time fallback.
+                // Half the filters are kept kernel shaped
+                // (`col op literal`) so the vectorized comparisons are
+                // exercised, not just the row-at-a-time fallback.
                 let pred = if rng.gen_range(0..2_u8) == 0 {
-                    const CMPS: [&str; 6] = ["==", "!=", "<", "<=", ">", ">="];
-                    let rhs = match rng.gen_range(0..3_u8) {
-                        0 => rng.gen_range(-2..3_i32).to_string(),
-                        1 => format!("\"{}\"", STR_POOL[rng.gen_range(0..STR_POOL.len())]),
-                        _ => random_ident(rng).to_string(),
-                    };
-                    format!(
-                        "{} {} {}",
-                        random_ident(rng),
-                        CMPS[rng.gen_range(0..CMPS.len())],
-                        rhs
-                    )
+                    random_comparison(rng)
                 } else {
                     random_expr(rng, 2)
                 };
                 lines.push(format!("FILTER {pred}"));
             }
             1 => {
-                lines.push(format!("DERIVE d{derives} = {}", random_expr(rng, 2)));
+                // Half the derives are a kernel-shaped select,
+                // `if(col op literal, col, literal)`.
+                let expr = if rng.gen_range(0..2_u8) == 0 {
+                    format!(
+                        "if({}, {}, {})",
+                        random_comparison(rng),
+                        random_ident(rng),
+                        random_literal(rng)
+                    )
+                } else {
+                    random_expr(rng, 2)
+                };
+                lines.push(format!("DERIVE d{derives} = {expr}"));
                 derives += 1;
             }
             2 => {
@@ -519,6 +544,10 @@ fn compressed_relation_corpus_matches_legacy_on_plain() {
         // Single-entry dictionary passthrough.
         "LOAD T0\nSELECT m\nLIMIT 3",
         "LOAD T0\nFILTER m == \"const\"\nAGG c = count()\nEMIT c",
+        // Two compressed columns in one expression: each side is decided
+        // per entry of its own column.
+        "LOAD T0\nFILTER s == \"read\" && m != \"x\" || k > 1\nSELECT k, s",
+        "LOAD T0\nDERIVE d0 = if(s == \"write\", a + 1, x * 2)\nSELECT d0",
     ];
     for (i, src) in corpus.iter().enumerate() {
         assert_same_run_on(src, &compressed, &plain, &format!("compressed corpus[{i}]"));
@@ -567,6 +596,7 @@ fn edge_case_corpus_matches_legacy_engine() {
     tables.insert(t0);
     tables.insert(t1);
     tables.insert(empty);
+    tables.insert(kernel_table());
 
     let corpus: &[&str] = &[
         // Division and remainder by zero evaluate to 0, not an error.
@@ -625,10 +655,79 @@ fn edge_case_corpus_matches_legacy_engine() {
         "LOAD T0\nFILTER contains(a, \"r\")",
         // Arithmetic type rule: Int op Int stays Int, / widens via fract.
         "LOAD T0\nDERIVE half = a / 2\nDERIVE dbl = a * 2\nSELECT half, dbl",
+        // Expression kernel over B: Ints near 2^53 and 9e15, RLE and
+        // Dict storage once compressed (checked below).
+        // A direct Int reference keeps 2^53 + 1 exact.
+        "LOAD B\nDERIVE y = b\nSELECT y",
+        "LOAD B\nDERIVE y = -b\nDERIVE z = abs(h)\nSELECT y, z",
+        // if() with Int/Float branches (a Mixed column), Str branches,
+        // nested, and Bool branches.
+        "LOAD B\nDERIVE y = if(f > 0, b, f)\nSELECT y",
+        "LOAD B\nDERIVE y = if(t == \"read\", t, u)\nSELECT y",
+        "LOAD B\nDERIVE y = if(h > 2, if(f < 1, h, 0.5), if(t, b, -1))\nSELECT y",
+        "LOAD B\nDERIVE y = if(h > 2, t, 0)\nSELECT y",
+        "LOAD B\nDERIVE y = if(f, h > 3, t == \"aa\")\nSELECT y",
+        // ... and over a selection vector.
+        "LOAD B\nFILTER h != 0\nDERIVE y = if(b > h, b, h)\nSELECT y",
+        "LOAD B\nSORT f DESC\nDERIVE y = if(f, b, h)\nSELECT y",
+        // Int op Int that is fractional, or at or above 9e15.
+        "LOAD B\nDERIVE q = b / 2\nDERIVE r = h / 4\nDERIVE s = b + 1\nDERIVE p = h * 2\nSELECT q, r, s, p",
+        "LOAD B\nDERIVE y = b - h\nDERIVE z = h % 4 - b % 3\nSELECT y, z",
+        // Aggregates over kernel expressions, inside GROUP and not.
+        "LOAD B\nGROUP t AGG s = sum(b + b), d = distinct(b + 1), e = distinct(h + 1)",
+        "LOAD B\nAGG s = sum(h + h), t2 = sum(f * 2), p = pct(b - h, 50), n = distinct(f + 1)\nEMIT s, t2, p, n",
+        // Comparisons whose operand is arithmetic.
+        "LOAD B\nFILTER b + 1 > h * 2\nSELECT b, h",
+        "LOAD B\nFILTER b == 9007199254740992\nAGG c = count()\nEMIT c",
+        "LOAD B\nFILTER !(t < \"b\") || f >= 0.5 && contains(u, \"e\")\nSELECT t, f",
+        // Str truthiness, NaN == NaN, masks in arithmetic, scalars.
+        "LOAD B\nDERIVE y = if(t, 1, 0) + (f == f)\nSELECT y",
+        "LOAD B\nLET k = 2\nDERIVE y = min(b, k) + max(h, k * 3)\nSELECT y",
+        "LOAD B\nDERIVE y = if(contains(t, \"r\"), -f, floor(h / 3))\nAGG s = sum(y), m = max(y)\nEMIT s, m",
     ];
+    let compressed = compress_tables(&tables);
+    let b = compressed.get("B").unwrap();
+    assert!(matches!(b.column(0), Some(ColumnData::RleInt { .. })));
+    assert!(matches!(b.column(1), Some(ColumnData::Int { .. })));
+    assert!(matches!(b.column(2), Some(ColumnData::RleFloat { .. })));
+    assert!(matches!(b.column(3), Some(ColumnData::Dict { .. })));
+    assert!(matches!(b.column(4), Some(ColumnData::Str { .. })));
     for (i, src) in corpus.iter().enumerate() {
         assert_same_run(src, &tables, &format!("corpus[{i}]"));
+        assert_same_run_on(
+            src,
+            &compressed,
+            &tables,
+            &format!("compressed corpus[{i}]"),
+        );
     }
+}
+
+/// Twelve rows for the expression kernel: `b` holds Ints near 2^53 and
+/// 9e15 in runs (RLE once compressed), `h` dense Ints, `f` Float runs
+/// with -0.0 and NaN, `t` repeated strings (Dict once compressed), `u`
+/// distinct strings.
+fn kernel_table() -> Table {
+    const P53: i64 = 1 << 53;
+    const E9: i64 = 9_000_000_000_000_000;
+    let b = [P53 + 1, P53, E9, E9 - 1, -(P53 + 1), 3];
+    let h = [7, -7, 0, P53 + 1, E9 / 2, 3, 1, 9, 2, 5, 6, 8];
+    let f = [0.5, 1.5, -2.0, 0.0, -0.0, f64::NAN];
+    let t = ["read", "write", "", "aa", "read", "write"];
+    let u = [
+        "a", "be", "c", "de", "e", "f", "g", "he", "i", "j", "ke", "l",
+    ];
+    let mut table = Table::new("B", &["b", "h", "f", "t", "u"]);
+    for i in 0..12 {
+        table.push_row(vec![
+            Value::Int(b[i / 2]),
+            Value::Int(h[i]),
+            Value::Float(f[i / 2]),
+            Value::from(t[i / 2]),
+            Value::from(u[i]),
+        ]);
+    }
+    table
 }
 
 /// A column whose cells are given one per row.

@@ -11,8 +11,10 @@
 //! artifact format is a change to every store on disk.
 //!
 //! The expert's programs GROUP, `distinct` and JOIN only on typed key
-//! columns, so over these tables no row may take the executor's
-//! rendered-string key fallback (`iql.keys.rendered`): a silent fallback
+//! columns, and every expression they evaluate resolves into the
+//! executor's expression kernel, so over these tables no row may take
+//! the rendered-string key fallback (`iql.keys.rendered`) or the
+//! row-at-a-time expression tier (`iql.rows.generic`): a silent fallback
 //! fails here instead of showing up as a slower benchmark.
 
 use darshan::log::{Log, LogReader, LogWriter};
@@ -86,6 +88,7 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
     let counter = |name: &str| ion_obs::snapshot().counter(name);
     ion_obs::enable();
     let before = counter("iql.keys.rendered");
+    let generic = counter("iql.rows.generic");
     let mut queries = counter("iql.queries_evaluated");
     for (name, workload) in golden_traces() {
         let (bytes, log) = decoded(workload.as_ref());
@@ -101,6 +104,11 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
             counter("iql.keys.rendered"),
             before,
             "{name}: rows keyed by rendered strings"
+        );
+        assert_eq!(
+            counter("iql.rows.generic"),
+            generic,
+            "{name}: rows evaluated by the row tier"
         );
         assert!(
             counter("iql.queries_evaluated") > queries,
@@ -119,4 +127,11 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
     let out = Interpreter::new(&tables).run(&program).unwrap();
     assert_eq!(out.table.map(|t| t.len()), Some(2));
     assert_eq!(counter("iql.keys.rendered"), before + 3);
+    // The row tier counts too: an expression over a Mixed column
+    // evaluates each of its rows there, once.
+    assert_eq!(counter("iql.rows.generic"), generic);
+    let program = parse_program("LOAD M\nDERIVE d = m != 0").unwrap();
+    let out = Interpreter::new(&tables).run(&program).unwrap();
+    assert_eq!(out.table.map(|t| t.len()), Some(3));
+    assert_eq!(counter("iql.rows.generic"), generic + 3);
 }
