@@ -1,19 +1,19 @@
-//! Experiment: out-of-core ingest — streaming decode into compressed
+//! Experiment: streaming ingest — streaming decode into compressed
 //! chunked tables under a fixed peak-RSS budget.
 //!
 //! ```sh
 //! cargo run --release -p ion-bench --bin exp_ingest
 //! cargo run --release -p ion-bench --bin exp_ingest -- --quick
-//! cargo run --release -p ion-bench --bin exp_ingest -- --segments 200000000 --spill-dir /tmp/spill
+//! cargo run --release -p ion-bench --bin exp_ingest -- --segments 200000000
 //! ```
 //!
 //! Generates a synthetic DXT trace of `--segments` traced operations
 //! (default 100 M) as an `impl Read` that frames regions on demand — the
 //! serialized log never exists in memory — and feeds it to
 //! `extractor::extract_stream`, which seals fixed-row chunks into
-//! Dict/RLE-compressed columns (optionally spilling them through
-//! `ion-store`'s content-addressed pager). The resulting DXT table is
-//! then analyzed in place by the full detector battery, whose IQL
+//! Dict/RLE-compressed columns held in memory. The decoded records never
+//! all exist at once; the compressed table does. The resulting DXT table
+//! is then analyzed in place by the full detector battery, whose IQL
 //! filters and aggregates scan the compressed runs directly.
 //!
 //! The acceptance gate is a peak-RSS ceiling read from `VmHWM` in
@@ -34,13 +34,11 @@
 use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
 use darshan::log::StreamWriter;
 use darshan::records::{JobRecord, NameRecord};
-use extractor::{extract_stream, ChunkPager, DEFAULT_CHUNK_ROWS};
+use extractor::{extract_stream, DEFAULT_CHUNK_ROWS};
 use ion::pipeline::IonPipeline;
-use ion_store::SpillDir;
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Segments per generated DXT record: long enough that the constant
@@ -195,7 +193,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let spill_dir = arg_value(&args, "--spill-dir");
     let segments: u64 = arg_value(&args, "--segments")
         .map(|s| s.parse().expect("--segments takes an integer"))
         .unwrap_or(if quick { 1_000_000 } else { 100_000_000 });
@@ -207,17 +204,12 @@ fn main() {
     ion_obs::enable();
 
     println!(
-        "═══ out-of-core ingest: {segments} DXT segments, peak-RSS budget {rss_budget_mb} MB ═══\n"
+        "═══ streaming ingest: {segments} DXT segments, peak-RSS budget {rss_budget_mb} MB ═══\n"
     );
-
-    let pager: Option<Arc<dyn ChunkPager>> = spill_dir
-        .as_deref()
-        .map(|d| Arc::new(SpillDir::new(std::path::Path::new(d))) as Arc<dyn ChunkPager>);
 
     let t0 = Instant::now();
     let source = SyntheticDxt::new(segments);
-    let extracted =
-        extract_stream(source, DEFAULT_CHUNK_ROWS, pager).expect("synthetic trace extracts");
+    let extracted = extract_stream(source, DEFAULT_CHUNK_ROWS).expect("synthetic trace extracts");
     let extract_s = t0.elapsed().as_secs_f64();
     let extract_peak_mb = peak_rss_mb().expect("VmHWM readable on linux");
     assert_eq!(

@@ -83,7 +83,7 @@ fn usage() -> ExitCode {
         "usage: ion-cli [--profile] [--metrics-json <path>] [--events <path>] \
          [--serve <addr>] [--serve-hold-ms <n>] [--store <dir>] [--jobs <n>] \
          [--workers <n>] [--deadline-ms <n>] [--slow-job-ms <n>] \
-         [--chunk-rows <n>] [--spill-dir <dir>] \
+         [--chunk-rows <n>] \
          <generate|parse|dxt|extract|analyze|batch|drishti|compare|qa|iql|store|serve|obs|fuzz> \
          <args...>\n\
          a bare <log.darshan> after the flags is shorthand for `analyze`\n\
@@ -148,15 +148,13 @@ struct ObsFlags {
     deadline_ms: u64,
     slow_job_ms: Option<u64>,
     chunk_rows: Option<usize>,
-    spill_dir: Option<String>,
 }
 
 impl ObsFlags {
     /// Extract `--profile` / `--metrics-json <path>` / `--events <path>` /
     /// `--serve <addr>` / `--serve-hold-ms <n>` / `--store <dir>` /
     /// `--jobs <n>` / `--workers <n>` / `--deadline-ms <n>` /
-    /// `--slow-job-ms <n>` / `--chunk-rows <n>` / `--spill-dir <dir>`
-    /// from `args`.
+    /// `--slow-job-ms <n>` / `--chunk-rows <n>` from `args`.
     fn strip(args: &mut Vec<String>) -> Result<ObsFlags, String> {
         let mut flags = ObsFlags::default();
         let mut i = 0;
@@ -260,13 +258,6 @@ impl ObsFlags {
                     }
                     flags.chunk_rows = Some(rows);
                 }
-                "--spill-dir" => {
-                    if i + 1 >= args.len() {
-                        return Err("--spill-dir needs a <dir>".into());
-                    }
-                    args.remove(i);
-                    flags.spill_dir = Some(args.remove(i));
-                }
                 _ => i += 1,
             }
         }
@@ -340,24 +331,16 @@ fn load(path: &str) -> Result<darshan::log::Log, String> {
 }
 
 /// Full diagnosis of trace bytes — incremental when `--store` is given,
-/// streaming out-of-core when `--chunk-rows` or `--spill-dir` is given,
+/// streamed into chunked tables when `--chunk-rows` is given,
 /// the plain pipeline otherwise. A trace that fails to decode or a store
 /// that fails is an outcome failure; only conflicting flags print usage.
 fn analyze_bytes(bytes: &[u8], flags: &ObsFlags) -> Result<ion::pipeline::IonReport, Failure> {
     let exec = flags.exec_batch(0);
-    if flags.chunk_rows.is_some() || flags.spill_dir.is_some() {
+    if let Some(chunk_rows) = flags.chunk_rows {
         if flags.store.is_some() {
-            return Err(
-                "--chunk-rows/--spill-dir stream past the warm store; drop --store to use them"
-                    .into(),
-            );
+            return Err("--chunk-rows streams past the warm store; drop --store to use it".into());
         }
-        let pager = flags.spill_dir.as_deref().map(|d| {
-            std::sync::Arc::new(ion_store::SpillDir::new(std::path::Path::new(d)))
-                as std::sync::Arc<dyn extractor::ChunkPager>
-        });
-        let chunk_rows = flags.chunk_rows.unwrap_or(extractor::DEFAULT_CHUNK_ROWS);
-        let extracted = extractor::extract_stream(bytes, chunk_rows, pager)
+        let extracted = extractor::extract_stream(bytes, chunk_rows)
             .map_err(|e| Failure::outcome(format!("cannot stream-decode trace: {e}")))?;
         let pipeline = IonPipeline::new().with_exec(exec);
         let params = pipeline.params_for(&extracted.skeleton);

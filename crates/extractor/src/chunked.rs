@@ -1,56 +1,24 @@
-//! Out-of-core table building: fixed-row-budget chunks, compressed as
-//! they seal, optionally spilled to a pager and reassembled at finish.
+//! Chunked table building: fixed-row-budget chunks, compressed as they
+//! seal, and the table codec.
 //!
 //! The streaming extractor appends rows to a [`ChunkedTableBuilder`]
 //! instead of a dense table. Every `chunk_rows` rows the builder seals the
-//! open chunk: each column is re-encoded via
-//! [`ColumnData::compressed`] and either appended to the in-memory
-//! accumulator or handed to a [`ChunkPager`] (e.g. `ion-store`'s spill
-//! directory) as an opaque byte blob. [`ChunkedTableBuilder::finish`]
-//! reloads any spilled chunks in order and returns a [`Table`] that
-//! compares equal — cell for cell — to the one the batch extractor would
-//! have built.
+//! open chunk: each column is re-encoded via [`ColumnData::compressed`]
+//! and appended to the compressed accumulator, so only the open chunk is
+//! ever held uncompressed. [`ChunkedTableBuilder::finish`] returns a
+//! [`Table`] that compares equal — cell for cell — to the one the batch
+//! extractor would have built.
 //!
-//! The same chunk codec is the table serialization: [`encode_table`]
-//! writes a small header (table name, column names) and one chunk over
-//! each column's canonical encoding, so equal tables encode to equal
-//! bytes whichever path built them. `ion-store` keeps every extracted
-//! table as such an artifact, addressed by the hash of those bytes.
+//! [`encode_table`] writes a small header (table name, column names) and
+//! one chunk over each column's canonical encoding, so equal tables
+//! encode to equal bytes whichever path built them. `ion-store` keeps
+//! every extracted table as such an artifact, addressed by the hash of
+//! those bytes.
 
 use crate::builder::ColumnBuilder;
 use crate::table::{Bitmap, ColumnData, Table, Value};
 use std::io;
 use std::sync::Arc;
-
-/// Destination for sealed chunks that should leave memory.
-///
-/// Implementations must return, from [`load`](ChunkPager::load), exactly
-/// the bytes that [`spill`](ChunkPager::spill) produced for the ticket.
-pub trait ChunkPager {
-    /// Persist one encoded chunk (`seq` is the chunk ordinal within the
-    /// table) and return a ticket that can retrieve it later.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    fn spill(&self, table: &str, seq: usize, bytes: &[u8]) -> io::Result<ChunkTicket>;
-
-    /// Fetch the bytes behind a ticket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures (including a missing object).
-    fn load(&self, ticket: &ChunkTicket) -> io::Result<Vec<u8>>;
-}
-
-/// Handle to one spilled chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkTicket {
-    /// Pager-assigned key (e.g. a content address).
-    pub key: String,
-    /// Rows in the chunk (informational; lets callers size reloads).
-    pub rows: usize,
-}
 
 /// Builds one table from streamed rows under a fixed chunk-row budget.
 #[derive(Clone)]
@@ -61,10 +29,7 @@ pub struct ChunkedTableBuilder {
     open: ColumnBuilder,
     open_rows: usize,
     acc: Vec<ColumnData>,
-    spilled: Vec<ChunkTicket>,
-    chunks_sealed: usize,
     total_rows: usize,
-    pager: Option<Arc<dyn ChunkPager>>,
 }
 
 impl std::fmt::Debug for ChunkedTableBuilder {
@@ -73,8 +38,6 @@ impl std::fmt::Debug for ChunkedTableBuilder {
             .field("name", &self.name)
             .field("chunk_rows", &self.chunk_rows)
             .field("total_rows", &self.total_rows)
-            .field("chunks_sealed", &self.chunks_sealed)
-            .field("spilled", &self.spilled.len())
             .finish_non_exhaustive()
     }
 }
@@ -95,29 +58,8 @@ impl ChunkedTableBuilder {
             open: ColumnBuilder::new(columns.len()),
             open_rows: 0,
             acc: columns.iter().map(|_| ColumnData::empty()).collect(),
-            spilled: Vec::new(),
-            chunks_sealed: 0,
             total_rows: 0,
-            pager: None,
         }
-    }
-
-    /// A builder that spills sealed chunks through `pager` instead of
-    /// holding them in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_rows` is zero.
-    #[must_use]
-    pub fn with_pager(
-        name: &str,
-        columns: &[&str],
-        chunk_rows: usize,
-        pager: Arc<dyn ChunkPager>,
-    ) -> Self {
-        let mut b = ChunkedTableBuilder::new(name, columns, chunk_rows);
-        b.pager = Some(pager);
-        b
     }
 
     /// Table name.
@@ -141,28 +83,23 @@ impl ChunkedTableBuilder {
     /// Close the row whose cells were just appended; seals the open
     /// chunk when it reaches the budget.
     ///
-    /// # Errors
-    ///
-    /// Propagates pager failures when a sealed chunk spills.
-    ///
     /// # Panics
     ///
     /// Panics at a seal when some column did not get exactly one cell
     /// per closed row.
-    pub fn end_row(&mut self) -> io::Result<()> {
+    pub fn end_row(&mut self) {
         self.open_rows += 1;
         self.total_rows += 1;
         if self.open_rows >= self.chunk_rows {
-            self.seal()?;
+            self.seal();
         }
-        Ok(())
     }
 
-    /// Seal the open chunk: compress its columns and either spill them
-    /// or fold them into the in-memory accumulator.
-    fn seal(&mut self) -> io::Result<()> {
+    /// Seal the open chunk: compress its columns and fold them into the
+    /// accumulator.
+    fn seal(&mut self) {
         if self.open_rows == 0 {
-            return Ok(());
+            return;
         }
         let rows = self.open_rows;
         let chunk: Vec<ColumnData> = self
@@ -177,57 +114,27 @@ impl ChunkedTableBuilder {
             self.name
         );
         self.open_rows = 0;
-        if let Some(pager) = &self.pager {
-            let bytes = encode_chunk(&chunk);
-            let mut ticket = pager.spill(&self.name, self.chunks_sealed, &bytes)?;
-            ticket.rows = rows;
-            self.spilled.push(ticket);
-        } else {
-            for (dst, src) in self.acc.iter_mut().zip(chunk) {
-                dst.append(src);
-            }
+        for (dst, src) in self.acc.iter_mut().zip(chunk) {
+            dst.append(src);
         }
-        self.chunks_sealed += 1;
-        Ok(())
     }
 
-    /// Seal the remainder, reload any spilled chunks in order, and
-    /// assemble the final table.
+    /// Seal the remainder and assemble the final table.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates pager failures (spill of the final partial chunk,
-    /// reload of earlier chunks, or a chunk that fails to decode).
-    pub fn finish(mut self) -> io::Result<Table> {
-        self.seal()?;
-        if let Some(pager) = self.pager.take() {
-            for ticket in &self.spilled {
-                let bytes = pager.load(ticket)?;
-                let chunk = decode_chunk(&bytes)?;
-                if chunk.len() != self.acc.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "chunk {} of table {} has {} columns, expected {}",
-                            ticket.key,
-                            self.name,
-                            chunk.len(),
-                            self.acc.len()
-                        ),
-                    ));
-                }
-                for (dst, src) in self.acc.iter_mut().zip(chunk) {
-                    dst.append(src);
-                }
-            }
-        }
+    /// Panics, like [`end_row`](Self::end_row), when the last chunk has
+    /// a row missing a cell.
+    #[must_use]
+    pub fn finish(mut self) -> Table {
+        self.seal();
         let columns = self
             .columns
             .iter()
             .zip(self.acc)
             .map(|(name, data)| (name.clone(), Arc::new(data)))
             .collect();
-        Ok(Table::from_columns(&self.name, columns))
+        Table::from_columns(&self.name, columns)
     }
 }
 
@@ -242,17 +149,8 @@ const TAG_RLE_INT: u8 = 4;
 const TAG_RLE_FLOAT: u8 = 5;
 const TAG_MIXED: u8 = 6;
 
-/// Serialize one sealed chunk (its columns, whatever their encodings)
-/// into an opaque blob for a [`ChunkPager`]. [`decode_chunk`] restores
-/// the exact physical representation, so spilling and reloading a chunk
-/// never changes what downstream scans see.
-#[must_use]
-pub fn encode_chunk(cols: &[ColumnData]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_chunk(&mut out, cols);
-    out
-}
-
+/// Append one chunk: its columns, each in its own physical encoding,
+/// which [`decode_chunk`] restores exactly.
 fn write_chunk(out: &mut Vec<u8>, cols: &[ColumnData]) {
     out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
     put_count(out, cols.len());
@@ -264,8 +162,8 @@ fn write_chunk(out: &mut Vec<u8>, cols: &[ColumnData]) {
 /// Serialize a whole table: a header (table name, column names) plus one
 /// chunk holding every column in its canonical encoding. The canonical
 /// form is a function of the cell values alone, so two equal tables
-/// encode to the same bytes whether they were built row by row, streamed
-/// through chunks or spilled — which lets the bytes' hash serve as the
+/// encode to the same bytes whether they were built row by row or
+/// streamed through chunks — which lets the bytes' hash serve as the
 /// table's content digest.
 #[must_use]
 pub fn encode_table(table: &Table) -> Vec<u8> {
@@ -292,9 +190,9 @@ fn write_table(name: &str, columns: &[&str], cols: &[ColumnData]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Fails with `InvalidData` on anything [`decode_chunk`] rejects, a bad
-/// header, duplicate column names, or a header that names a different
-/// number of columns than the chunk holds.
+/// Fails with `InvalidData` on a corrupt chunk body (see `decode_chunk`),
+/// a bad header, duplicate column names, or a header that names a
+/// different number of columns than the chunk holds.
 pub fn decode_table(bytes: &[u8]) -> io::Result<Table> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.u32()? != TABLE_MAGIC {
@@ -557,16 +455,13 @@ fn decode_validity(cur: &mut Cursor<'_>, rows: usize) -> io::Result<Option<Bitma
     }
 }
 
-/// Deserialize a chunk produced by [`encode_chunk`].
-///
-/// # Errors
-///
-/// Fails with `InvalidData` on truncation, bad magic, unknown column
-/// tags, malformed UTF-8, dictionary codes out of range (null slots
-/// included), non-increasing RLE run ends, or columns of unequal length
-/// — a pager or store returning corrupted bytes can never panic the
-/// caller, now or when it later reads the columns.
-pub fn decode_chunk(bytes: &[u8]) -> io::Result<Vec<ColumnData>> {
+/// Deserialize a chunk written by [`write_chunk`]. Fails with
+/// `InvalidData` on truncation, bad magic, unknown column tags, malformed
+/// UTF-8, dictionary codes out of range (null slots included),
+/// non-increasing RLE run ends, or columns of unequal length — a store
+/// returning corrupted bytes can never panic the caller, now or when it
+/// later reads the columns.
+fn decode_chunk(bytes: &[u8]) -> io::Result<Vec<ColumnData>> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.u32()? != CHUNK_MAGIC {
         return Err(bad("bad chunk magic"));
@@ -717,7 +612,13 @@ mod tests {
         for (c, v) in row.into_iter().enumerate() {
             b.cells().value(c, v);
         }
-        b.end_row().unwrap();
+        b.end_row();
+    }
+
+    fn encode_chunk(cols: &[ColumnData]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_chunk(&mut out, cols);
+        out
     }
 
     fn plain_table(rows: usize) -> Table {
@@ -737,7 +638,7 @@ mod tests {
                 push(&mut b, sample_row(i));
             }
             assert_eq!(b.rows(), rows);
-            let t = b.finish().unwrap();
+            let t = b.finish();
             assert_eq!(t, plain_table(rows), "rows={rows}");
         }
     }
@@ -748,7 +649,7 @@ mod tests {
         for i in 0..100 {
             push(&mut b, sample_row(i));
         }
-        let t = b.finish().unwrap();
+        let t = b.finish();
         assert!(matches!(t.column(0), Some(ColumnData::RleInt { .. })));
         assert!(matches!(t.column(1), Some(ColumnData::RleFloat { .. })));
         assert!(matches!(t.column(2), Some(ColumnData::Dict { .. })));
@@ -762,46 +663,7 @@ mod tests {
         let mut b = ChunkedTableBuilder::new("T", &COLS, 2);
         push(&mut b, sample_row(0));
         b.cells().value(0, Value::Int(1));
-        let _ = b.end_row();
-    }
-
-    /// In-memory pager that records traffic.
-    #[derive(Default)]
-    struct MemPager {
-        blobs: std::sync::Mutex<std::collections::HashMap<String, Vec<u8>>>,
-    }
-
-    impl ChunkPager for MemPager {
-        fn spill(&self, table: &str, seq: usize, bytes: &[u8]) -> io::Result<ChunkTicket> {
-            let key = format!("{table}.{seq}");
-            self.blobs
-                .lock()
-                .unwrap()
-                .insert(key.clone(), bytes.to_vec());
-            Ok(ChunkTicket { key, rows: 0 })
-        }
-
-        fn load(&self, ticket: &ChunkTicket) -> io::Result<Vec<u8>> {
-            self.blobs
-                .lock()
-                .unwrap()
-                .get(&ticket.key)
-                .cloned()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, ticket.key.clone()))
-        }
-    }
-
-    #[test]
-    fn spilled_chunks_reload_in_order() {
-        let pager = Arc::new(MemPager::default());
-        let mut b = ChunkedTableBuilder::with_pager("T", &COLS, 16, pager.clone());
-        for i in 0..100 {
-            push(&mut b, sample_row(i));
-        }
-        // 6 full chunks of 16 plus the final partial chunk of 4.
-        let t = b.finish().unwrap();
-        assert_eq!(pager.blobs.lock().unwrap().len(), 7);
-        assert_eq!(t, plain_table(100));
+        b.end_row();
     }
 
     #[test]

@@ -12,8 +12,6 @@ use darshan::heatmap::HeatmapRecord;
 use darshan::log::Log;
 use darshan::records::LustreRecord;
 use std::collections::HashMap;
-use std::convert::Infallible;
-use std::io;
 use std::sync::Arc;
 
 /// The set of tables the extractor produces for one log.
@@ -141,7 +139,7 @@ fn counter_row<S: TableSink>(
     path: Option<&str>,
     counters: &[i64],
     fcounters: &[f64],
-) -> Result<(), S::Error> {
+) {
     let cells = t.cells();
     id_cells(cells, path, file_id, rank);
     let first = ID_COLUMNS.len();
@@ -151,15 +149,11 @@ fn counter_row<S: TableSink>(
     for (i, &f) in fcounters.iter().enumerate() {
         cells.float(first + counters.len() + i, f);
     }
-    t.end_row()
+    t.end_row();
 }
 
 /// One `LUSTRE` table row.
-fn lustre_row<S: TableSink>(
-    t: &mut S,
-    r: &LustreRecord,
-    path: Option<&str>,
-) -> Result<(), S::Error> {
+fn lustre_row<S: TableSink>(t: &mut S, r: &LustreRecord, path: Option<&str>) {
     let cells = t.cells();
     id_cells(cells, path, r.file_id, r.rank);
     let first = ID_COLUMNS.len();
@@ -168,11 +162,11 @@ fn lustre_row<S: TableSink>(
     }
     let ids: Vec<String> = r.ost_ids.iter().map(ToString::to_string).collect();
     cells.value(first + r.counters.len(), Value::Str(ids.join(" ").into()));
-    t.end_row()
+    t.end_row();
 }
 
 /// The `HEATMAP` table rows of a record, one per time bin.
-fn heatmap_rows<S: TableSink>(t: &mut S, r: &HeatmapRecord) -> Result<(), S::Error> {
+fn heatmap_rows<S: TableSink>(t: &mut S, r: &HeatmapRecord) {
     for (bin, (&rd, &wr)) in r.read_bytes.iter().zip(&r.write_bytes).enumerate() {
         let cells = t.cells();
         cells.int(0, i64::from(r.rank));
@@ -181,17 +175,16 @@ fn heatmap_rows<S: TableSink>(t: &mut S, r: &HeatmapRecord) -> Result<(), S::Err
         cells.float(3, (bin + 1) as f64 * r.bin_width);
         cells.int(4, rd as i64);
         cells.int(5, wr as i64);
-        t.end_row()?;
+        t.end_row();
     }
-    Ok(())
 }
 
 /// The `DXT` table rows of a record, one per traced operation (writes
 /// first, as [`DxtRecord::iter`] orders them). The record's path, layer
 /// and operation names are coded once, not per segment.
-fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) -> Result<(), S::Error> {
+fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) {
     if r.is_empty() {
-        return Ok(());
+        return;
     }
     let cells = t.cells();
     let path = cells.code(1, path.unwrap_or(UNKNOWN_PATH));
@@ -214,25 +207,22 @@ fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) -> Resul
             cells.int(7, s.length as i64);
             cells.float(8, s.start_time);
             cells.float(9, s.end_time);
-            t.end_row()?;
+            t.end_row();
             seg_no += 1;
         }
     }
-    Ok(())
 }
 
 /// A table under construction: a [`BatchTable`] for the batch
 /// extractor, a [`ChunkedTableBuilder`] for the streaming one. Both take
 /// a row as typed cells appended to their [`ColumnBuilder`].
 pub(crate) trait TableSink {
-    /// What closing a row or finishing the table can fail with.
-    type Error;
     /// The open row's columns.
     fn cells(&mut self) -> &mut ColumnBuilder;
     /// Close the row whose cells were just appended.
-    fn end_row(&mut self) -> Result<(), Self::Error>;
+    fn end_row(&mut self);
     /// The finished table.
-    fn into_table(self) -> Result<Table, Self::Error>;
+    fn into_table(self) -> Table;
 }
 
 /// The batch extractor's table: every column whole, in memory.
@@ -253,38 +243,32 @@ impl BatchTable {
 }
 
 impl TableSink for BatchTable {
-    type Error = Infallible;
-
     fn cells(&mut self) -> &mut ColumnBuilder {
         &mut self.cells
     }
 
-    fn end_row(&mut self) -> Result<(), Infallible> {
-        Ok(())
-    }
+    fn end_row(&mut self) {}
 
-    fn into_table(self) -> Result<Table, Infallible> {
+    fn into_table(self) -> Table {
         let columns = self
             .columns
             .into_iter()
             .zip(self.cells.finish().into_iter().map(Arc::new))
             .collect();
-        Ok(Table::from_columns(&self.name, columns))
+        Table::from_columns(&self.name, columns)
     }
 }
 
 impl TableSink for ChunkedTableBuilder {
-    type Error = io::Error;
-
     fn cells(&mut self) -> &mut ColumnBuilder {
         ChunkedTableBuilder::cells(self)
     }
 
-    fn end_row(&mut self) -> io::Result<()> {
-        ChunkedTableBuilder::end_row(self)
+    fn end_row(&mut self) {
+        ChunkedTableBuilder::end_row(self);
     }
 
-    fn into_table(self) -> io::Result<Table> {
+    fn into_table(self) -> Table {
         self.finish()
     }
 }
@@ -326,7 +310,7 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
     }
 
     /// Fold the names and every module record of `log` into the tables.
-    pub(crate) fn fold(&mut self, log: &Log) -> Result<(), S::Error> {
+    pub(crate) fn fold(&mut self, log: &Log) {
         for n in &log.names {
             self.paths.entry(n.id).or_insert_with(|| n.path.clone());
         }
@@ -334,34 +318,33 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
             counter_row(t, id, rank, path_of(paths, id), c, f)
         };
         self.push("POSIX", posix_columns, &log.posix, |t, paths, r| {
-            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
-        })?;
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters);
+        });
         self.push("MPIIO", mpiio_columns, &log.mpiio, |t, paths, r| {
-            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
-        })?;
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters);
+        });
         self.push("STDIO", stdio_columns, &log.stdio, |t, paths, r| {
-            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters)
-        })?;
+            counters(t, paths, r.file_id, r.rank, &r.counters, &r.fcounters);
+        });
         self.push("LUSTRE", lustre_columns, &log.lustre, |t, paths, r| {
-            lustre_row(t, r, path_of(paths, r.file_id))
-        })?;
+            lustre_row(t, r, path_of(paths, r.file_id));
+        });
         self.push(
             "HEATMAP",
             || HEATMAP_COLUMNS.to_vec(),
             &log.heatmap,
             |t, _, r| heatmap_rows(t, r),
-        )?;
+        );
         self.push(
             "DXT",
             || DXT_COLUMNS.to_vec(),
             &log.dxt,
             |t, paths, r| dxt_rows(t, r, path_of(paths, r.file_id)),
-        )?;
+        );
         // Parameter derivation reads only the first Lustre record.
         if self.first_lustre.is_none() {
             self.first_lustre = log.lustre.first().cloned();
         }
-        Ok(())
     }
 
     /// Push the rows of `records` into table `name`, creating it with
@@ -371,10 +354,10 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
         name: &'static str,
         columns: fn() -> Vec<&'static str>,
         records: &[R],
-        mut rows: impl FnMut(&mut S, &Paths, &R) -> Result<(), S::Error>,
-    ) -> Result<(), S::Error> {
+        mut rows: impl FnMut(&mut S, &Paths, &R),
+    ) {
         if records.is_empty() {
-            return Ok(());
+            return;
         }
         let i = match self.tables.iter().position(|(n, _)| *n == name) {
             Some(i) => i,
@@ -385,24 +368,23 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
         };
         let table = &mut self.tables[i].1;
         for r in records {
-            rows(table, &self.paths, r)?;
+            rows(table, &self.paths, r);
         }
-        Ok(())
     }
 
     /// The finished tables (counted under `extract.rows.<name>`) and the
     /// first Lustre record folded.
-    pub(crate) fn finish(self) -> Result<(TableSet, Option<LustreRecord>), S::Error> {
+    pub(crate) fn finish(self) -> (TableSet, Option<LustreRecord>) {
         let mut set = TableSet::default();
         for (_, table) in self.tables {
-            set.insert(table.into_table()?);
+            set.insert(table.into_table());
         }
         if ion_obs::enabled() {
             for (name, table) in set.iter() {
                 ion_obs::counter(&format!("extract.rows.{name}"), table.len() as u64);
             }
         }
-        Ok((set, self.first_lustre))
+        (set, self.first_lustre)
     }
 }
 
@@ -416,8 +398,8 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
 pub fn extract_tables(log: &Log) -> TableSet {
     let mut span = ion_obs::span!("extract");
     let mut tables = ModuleTables::new(BatchTable::new);
-    let Ok(()) = tables.fold(log);
-    let Ok((set, _)) = tables.finish();
+    tables.fold(log);
+    let (set, _) = tables.finish();
     span.attr("tables", set.len());
     set
 }

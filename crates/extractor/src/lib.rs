@@ -20,10 +20,9 @@
 //! * [`builder`] — typed column builders, through which both table
 //!   sinks take every extracted row, with repeated strings
 //!   dictionary-coded.
-//! * [`chunked`] — out-of-core table building: fixed-row chunks,
-//!   compressed column encodings, the spill pager contract, and the
-//!   table codec ([`encode_table`]/[`decode_table`]) the store keeps
-//!   tables in.
+//! * [`chunked`] — chunked table building: fixed-row chunks compressed
+//!   as they seal, and the table codec ([`encode_table`]/[`decode_table`])
+//!   the store keeps tables in.
 //! * [`stream`] — streaming extraction ([`stream::extract_stream`]):
 //!   the same fold, fed one decoded region at a time into chunked
 //!   tables.
@@ -59,10 +58,7 @@ pub mod stream;
 pub mod table;
 
 pub use builder::ColumnBuilder;
-pub use chunked::{
-    decode_chunk, decode_table, encode_chunk, encode_table, ChunkPager, ChunkTicket,
-    ChunkedTableBuilder,
-};
+pub use chunked::{decode_table, encode_table, ChunkedTableBuilder};
 pub use extract::{extract_tables, TableSet};
-pub use stream::{extract_stream, StreamExtractError, StreamExtracted, DEFAULT_CHUNK_ROWS};
+pub use stream::{extract_stream, StreamExtracted, DEFAULT_CHUNK_ROWS};
 pub use table::{Bitmap, Column, ColumnData, RowView, Table, Value};

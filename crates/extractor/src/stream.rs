@@ -6,7 +6,8 @@
 //! that [`extract_tables`](crate::extract::extract_tables) runs over a
 //! whole log, with [`ChunkedTableBuilder`]s as the tables. The full
 //! record vectors of a large log (most importantly DXT traces) never
-//! exist in memory at once. The resulting [`TableSet`] is cell-for-cell
+//! exist in memory at once; the tables do, with every sealed chunk
+//! compressed. The resulting [`TableSet`] is cell-for-cell
 //! identical to the batch extractor's over the eagerly decoded log,
 //! which keeps `ion-store` content digests byte-stable across ingest
 //! modes. That relies on the name table arriving before any module
@@ -17,57 +18,17 @@
 //! exactly the subset `ion`'s `SystemParams::from_log` reads, so callers
 //! can derive analysis parameters without a full decode.
 
-use crate::chunked::{ChunkPager, ChunkedTableBuilder};
+use crate::chunked::ChunkedTableBuilder;
 use crate::extract::{ModuleTables, TableSet};
 use darshan::log::{Log, StreamDecoder};
 use darshan::records::JobRecord;
 use darshan::DarshanError;
-use std::io::{self, Read};
-use std::sync::Arc;
+use std::io::Read;
 
 /// Default rows per chunk: large enough that per-chunk overheads vanish,
 /// small enough that an open chunk of the widest table stays in the
 /// tens of megabytes.
 pub const DEFAULT_CHUNK_ROWS: usize = 65_536;
-
-/// Failure modes of [`extract_stream`].
-#[derive(Debug)]
-pub enum StreamExtractError {
-    /// The log itself failed to frame or decode.
-    Decode(DarshanError),
-    /// The chunk pager failed to spill or reload a chunk.
-    Spill(io::Error),
-}
-
-impl std::fmt::Display for StreamExtractError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamExtractError::Decode(e) => write!(f, "decode failed: {e}"),
-            StreamExtractError::Spill(e) => write!(f, "chunk spill failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamExtractError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamExtractError::Decode(e) => Some(e),
-            StreamExtractError::Spill(e) => Some(e),
-        }
-    }
-}
-
-impl From<DarshanError> for StreamExtractError {
-    fn from(e: DarshanError) -> Self {
-        StreamExtractError::Decode(e)
-    }
-}
-
-impl From<io::Error> for StreamExtractError {
-    fn from(e: io::Error) -> Self {
-        StreamExtractError::Spill(e)
-    }
-}
 
 /// Everything [`extract_stream`] produces.
 #[derive(Debug)]
@@ -88,24 +49,17 @@ pub struct StreamExtracted {
 /// materializing the full record vectors.
 ///
 /// `chunk_rows` bounds the rows held uncompressed per table; sealed
-/// chunks are compressed in place, and spill through `pager` when one
-/// is provided. Decoding is strict, like `LogReader::read`: the first
-/// framing, checksum, ordering or record error aborts the extraction.
+/// chunks are compressed in place. Decoding is strict, like
+/// `LogReader::read`: the first framing, checksum, ordering or record
+/// error aborts the extraction.
 ///
 /// # Errors
 ///
-/// [`StreamExtractError::Decode`] for log-level failures (including a
-/// missing job region), [`StreamExtractError::Spill`] when the pager
-/// fails.
-pub fn extract_stream<R: Read>(
-    src: R,
-    chunk_rows: usize,
-    pager: Option<Arc<dyn ChunkPager>>,
-) -> Result<StreamExtracted, StreamExtractError> {
+/// Log-level decode failures, including a missing job region.
+pub fn extract_stream<R: Read>(src: R, chunk_rows: usize) -> Result<StreamExtracted, DarshanError> {
     let mut span = ion_obs::span!("extract.stream");
-    let mut tables = ModuleTables::new(|name: &str, columns: &[&str]| match &pager {
-        Some(p) => ChunkedTableBuilder::with_pager(name, columns, chunk_rows, Arc::clone(p)),
-        None => ChunkedTableBuilder::new(name, columns, chunk_rows),
+    let mut tables = ModuleTables::new(|name: &str, columns: &[&str]| {
+        ChunkedTableBuilder::new(name, columns, chunk_rows)
     });
 
     let mut decoder = StreamDecoder::new(src)?;
@@ -115,19 +69,18 @@ pub fn extract_stream<R: Read>(
     let mut saw_job = false;
     while let Some(region) = decoder.next_region()? {
         saw_job |= region.decode_into(&mut region_log)?;
-        tables.fold(&region_log)?;
+        tables.fold(&region_log);
         skeleton.names.append(&mut region_log.names);
         region_log = Log::new(region_log.job);
     }
     if !saw_job {
         return Err(DarshanError::UnexpectedEof {
             decoding: "job region",
-        }
-        .into());
+        });
     }
     skeleton.job = region_log.job;
 
-    let (tables, first_lustre) = tables.finish()?;
+    let (tables, first_lustre) = tables.finish();
     skeleton.lustre.extend(first_lustre);
     let rows = tables.iter().map(|(_, t)| t.len() as u64).sum();
     let bytes_read = decoder.bytes_read() as u64;
@@ -190,7 +143,7 @@ mod tests {
         let bytes = LogWriter::from_log(log.clone()).finish().unwrap();
         let batch = extract_tables(&log);
         // Chunk budget smaller than the row count to force sealing.
-        let streamed = extract_stream(&bytes[..], 7, None).unwrap();
+        let streamed = extract_stream(&bytes[..], 7).unwrap();
         assert_eq!(streamed.tables.names(), batch.names());
         for (name, t) in batch.iter() {
             assert_eq!(streamed.tables.get(name).unwrap(), t, "table {name}");
@@ -202,7 +155,7 @@ mod tests {
     fn skeleton_carries_params_inputs() {
         let log = sample_log();
         let bytes = LogWriter::from_log(log.clone()).finish().unwrap();
-        let s = extract_stream(&bytes[..], 1024, None).unwrap();
+        let s = extract_stream(&bytes[..], 1024).unwrap();
         assert_eq!(s.skeleton.job, log.job);
         assert_eq!(s.skeleton.names, log.names);
         assert_eq!(s.skeleton.lustre.first(), log.lustre.first());
@@ -223,10 +176,10 @@ mod tests {
         let bytes = w.finish().unwrap();
 
         let batch = LogReader::read(&bytes).map(|log| extract_tables(&log));
-        let streamed = extract_stream(&bytes[..], 7, None).map(|s| s.tables);
+        let streamed = extract_stream(&bytes[..], 7).map(|s| s.tables);
         let file_name = |t: &TableSet| t.get("DXT").unwrap().cell(0, "file_name");
         match (batch, streamed) {
-            (Err(b), Err(StreamExtractError::Decode(s))) => {
+            (Err(b), Err(s)) => {
                 assert_eq!(b, s);
                 assert!(matches!(b, DarshanError::NamesAfterModule { .. }), "{b:?}");
             }
@@ -241,17 +194,13 @@ mod tests {
 
     #[test]
     fn missing_job_region_is_strict_error() {
-        let err = extract_stream(&b"DSHN\x01\x00\x00\x00\xff"[..], 16, None).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamExtractError::Decode(DarshanError::UnexpectedEof { .. })
-        ));
+        let err = extract_stream(&b"DSHN\x01\x00\x00\x00\xff"[..], 16).unwrap_err();
+        assert!(matches!(err, DarshanError::UnexpectedEof { .. }));
     }
 
     #[test]
     fn truncated_stream_is_strict_error() {
         let bytes = LogWriter::from_log(sample_log()).finish().unwrap();
-        let err = extract_stream(&bytes[..bytes.len() - 6], 16, None).unwrap_err();
-        assert!(matches!(err, StreamExtractError::Decode(_)));
+        assert!(extract_stream(&bytes[..bytes.len() - 6], 16).is_err());
     }
 }

@@ -139,7 +139,7 @@ pub fn drive(bytes: &[u8]) -> Verdict {
 /// the streaming extractor must accept them too (same CRC coverage),
 /// and its tables are returned for comparison with the batch tables.
 fn stream_check(bytes: &[u8], strict_ok: bool) -> Option<TableSet> {
-    let streamed = extract_stream(bytes, 61, None);
+    let streamed = extract_stream(bytes, 61);
     if let Ok(mut decoder) = StreamDecoder::new(bytes) {
         let mut scratch = Log::new(JobRecord::new(0, 0, 0));
         let mut i = 0_usize;

@@ -40,8 +40,9 @@ use super::ast::{BinaryOp, Expr, UnaryOp};
 use super::eval::RunOutput;
 use super::plan::{Plan, PlanOp};
 use super::value_ops::{
-    arith_f64, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, is_agg_call, num,
-    numeric_agg, percentile, scalar_call, stays_int, unique_columns, Env,
+    agg_call, arith_f64, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, num,
+    numeric_agg, op_kind, percentile, scalar_call, stays_int, unique_columns, Agg, ArithOp, CmpOp,
+    Env, OpKind,
 };
 use super::IqlError;
 use extractor::{ColumnData, Table, TableSet, Value};
@@ -526,16 +527,16 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
             binary(*op, lv, rv)
         }
         Expr::Call(name, args) => {
-            if !is_agg_call(name, args.len()) {
+            let Some(agg) = agg_call(name, args.len()) else {
                 let vals: Vec<Value> = args
                     .iter()
                     .map(|a| eval_agg(a, rel, rows, env))
                     .collect::<Result<_, _>>()?;
                 return scalar_call(name, &vals);
-            }
-            match name.as_str() {
-                "count" => Ok(Value::Int(rows.len() as i64)),
-                "distinct" => {
+            };
+            match agg {
+                Agg::Count => Ok(Value::Int(rows.len() as i64)),
+                Agg::Distinct => {
                     // A bare column is classified where it lies; any other
                     // expression is evaluated into a column first.
                     let column = match &args[0] {
@@ -554,14 +555,14 @@ fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Va
                     space.classify(&col, rows);
                     Ok(Value::Int(space.len() as i64))
                 }
-                "pct" => {
+                Agg::Pct => {
                     let p = eval_scalar_or_number(&args[1], env)?;
                     let vals = collect_numeric(&args[0], rel, rows, env)?;
                     Ok(Value::Float(percentile(vals, p)))
                 }
-                _ => {
+                Agg::Numeric(f) => {
                     let vals = collect_numeric(&args[0], rel, rows, env)?;
-                    Ok(Value::Float(numeric_agg(name, &vals)))
+                    Ok(Value::Float(numeric_agg(f, &vals)))
                 }
             }
         }
@@ -811,35 +812,6 @@ impl Num {
     }
 }
 
-/// The six comparison operators.
-#[derive(Clone, Copy)]
-enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    /// `a op b` as `value_ops::binary` decides it for two numbers or two
-    /// strings: `==`/`!=` by equality, the orderings by `partial_cmp`
-    /// with an unordered pair (a NaN) counting as equal.
-    fn holds<T: PartialOrd + ?Sized>(self, a: &T, b: &T) -> bool {
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        let ord = || a.partial_cmp(b).unwrap_or(Equal);
-        match self {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            CmpOp::Lt => ord() == Less,
-            CmpOp::Le => ord() != Greater,
-            CmpOp::Gt => ord() == Greater,
-            CmpOp::Ge => ord() != Less,
-        }
-    }
-}
-
 /// A column view bound with its [`Entries`].
 struct Leaf<'a, T>(&'a ColRef, &'a [T]);
 
@@ -878,7 +850,7 @@ enum NumExpr<'a> {
     Const(Num),
     Int(Leaf<'a, i64>),
     Float(Leaf<'a, f64>),
-    Arith(BinaryOp, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
+    Arith(ArithOp, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
     /// A function of one number, such as `floor` or negation.
     Math(fn(f64) -> f64, Box<NumExpr<'a>>),
     Math2(fn(f64, f64) -> f64, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
@@ -1156,20 +1128,13 @@ impl<'a> Resolver<'a, '_> {
     }
 
     fn binary(&mut self, op: BinaryOp, l: &Expr, r: &Expr) -> Option<Kernel<'a>> {
-        let cmp = match op {
-            BinaryOp::And => {
-                return Some(Kernel::Bool(BoolExpr::And(self.mask(l)?, self.mask(r)?)))
-            }
-            BinaryOp::Or => return Some(Kernel::Bool(BoolExpr::Or(self.mask(l)?, self.mask(r)?))),
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem => {
+        let cmp = match op_kind(op) {
+            OpKind::And => return Some(Kernel::Bool(BoolExpr::And(self.mask(l)?, self.mask(r)?))),
+            OpKind::Or => return Some(Kernel::Bool(BoolExpr::Or(self.mask(l)?, self.mask(r)?))),
+            OpKind::Arith(op) => {
                 return Some(Kernel::Num(NumExpr::Arith(op, self.num(l)?, self.num(r)?)));
             }
-            BinaryOp::Eq => CmpOp::Eq,
-            BinaryOp::Ne => CmpOp::Ne,
-            BinaryOp::Lt => CmpOp::Lt,
-            BinaryOp::Le => CmpOp::Le,
-            BinaryOp::Gt => CmpOp::Gt,
-            BinaryOp::Ge => CmpOp::Ge,
+            OpKind::Cmp(cmp) => cmp,
         };
         Some(Kernel::Bool(match (self.resolve(l)?, self.resolve(r)?) {
             (Kernel::Str(a), Kernel::Str(b)) => BoolExpr::StrCmp(cmp, Box::new(a), Box::new(b)),

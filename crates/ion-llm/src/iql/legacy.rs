@@ -8,8 +8,8 @@
 use super::ast::{Expr, Program, Stmt, UnaryOp};
 use super::eval::RunOutput;
 use super::value_ops::{
-    binary, compare_values, eval_scalar_expr, eval_scalar_or_number, is_agg_call, num, numeric_agg,
-    percentile, scalar_call, unique_columns, Env,
+    agg_call, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, num, numeric_agg,
+    percentile, scalar_call, unique_columns, Agg, Env,
 };
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
@@ -340,16 +340,16 @@ fn eval_agg_expr(
             binary(*op, lv, rv)
         }
         Expr::Call(name, args) => {
-            if !is_agg_call(name, args.len()) {
+            let Some(agg) = agg_call(name, args.len()) else {
                 let vals: Vec<Value> = args
                     .iter()
                     .map(|a| eval_agg_expr(a, cols, rows, env))
                     .collect::<Result<_, _>>()?;
                 return scalar_call(name, &vals);
-            }
-            match name.as_str() {
-                "count" => Ok(Value::Int(rows.len() as i64)),
-                "distinct" => {
+            };
+            match agg {
+                Agg::Count => Ok(Value::Int(rows.len() as i64)),
+                Agg::Distinct => {
                     let mut seen = std::collections::BTreeSet::new();
                     for row in rows {
                         let v = eval_row_expr(&args[0], cols, row, env)?;
@@ -357,14 +357,14 @@ fn eval_agg_expr(
                     }
                     Ok(Value::Int(seen.len() as i64))
                 }
-                "pct" => {
+                Agg::Pct => {
                     let p = eval_scalar_or_number(&args[1], env)?;
                     let vals = collect_numeric(&args[0], cols, rows, env)?;
                     Ok(Value::Float(percentile(vals, p)))
                 }
-                _ => {
+                Agg::Numeric(f) => {
                     let vals = collect_numeric(&args[0], cols, rows, env)?;
-                    Ok(Value::Float(numeric_agg(name, &vals)))
+                    Ok(Value::Float(numeric_agg(f, &vals)))
                 }
             }
         }

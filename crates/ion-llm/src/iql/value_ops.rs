@@ -7,6 +7,15 @@
 //! expression evaluation. Both engines call these functions so they
 //! cannot drift apart on value semantics; the differential test in
 //! `tests/differential.rs` checks the rest.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use super::ast::{BinaryOp, Expr, UnaryOp};
 use super::IqlError;
@@ -24,13 +33,119 @@ pub(crate) fn unique_columns<'a>(
     }
 }
 
-/// Whether `name(args)` aggregates rows in aggregate context (`AGG`,
-/// `GROUP … AGG`); `min`/`max` with two args stay scalar.
-pub(crate) fn is_agg_call(name: &str, argc: usize) -> bool {
-    matches!(
-        (name, argc),
-        ("count", 0) | ("sum" | "mean" | "min" | "max" | "std" | "distinct", 1) | ("pct", 2)
-    )
+/// An aggregate function.
+#[derive(Clone, Copy)]
+pub(crate) enum Agg {
+    /// `count()`
+    Count,
+    /// `distinct(x)`
+    Distinct,
+    /// `pct(x, p)`
+    Pct,
+    /// `sum`/`mean`/`min`/`max`/`std` of `x`.
+    Numeric(NumericAgg),
+}
+
+/// An aggregate that folds a numeric population into one `f64`.
+#[derive(Clone, Copy)]
+pub(crate) enum NumericAgg {
+    Sum,
+    Mean,
+    Min,
+    Max,
+    Std,
+}
+
+/// The aggregate `name(args)` calls in aggregate context (`AGG`,
+/// `GROUP … AGG`), or `None` for a scalar call; `min`/`max` with two args
+/// stay scalar.
+pub(crate) fn agg_call(name: &str, argc: usize) -> Option<Agg> {
+    Some(match (name, argc) {
+        ("count", 0) => Agg::Count,
+        ("distinct", 1) => Agg::Distinct,
+        ("pct", 2) => Agg::Pct,
+        ("sum", 1) => Agg::Numeric(NumericAgg::Sum),
+        ("mean", 1) => Agg::Numeric(NumericAgg::Mean),
+        ("min", 1) => Agg::Numeric(NumericAgg::Min),
+        ("max", 1) => Agg::Numeric(NumericAgg::Max),
+        ("std", 1) => Agg::Numeric(NumericAgg::Std),
+        _ => return None,
+    })
+}
+
+/// A binary operator by how it evaluates.
+#[derive(Clone, Copy)]
+pub(crate) enum OpKind {
+    And,
+    Or,
+    Cmp(CmpOp),
+    Arith(ArithOp),
+}
+
+/// The six comparison operators.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// The five arithmetic operators.
+#[derive(Clone, Copy)]
+pub(crate) enum ArithOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+}
+
+/// How `op` evaluates.
+pub(crate) fn op_kind(op: BinaryOp) -> OpKind {
+    match op {
+        BinaryOp::And => OpKind::And,
+        BinaryOp::Or => OpKind::Or,
+        BinaryOp::Eq => OpKind::Cmp(CmpOp::Eq),
+        BinaryOp::Ne => OpKind::Cmp(CmpOp::Ne),
+        BinaryOp::Lt => OpKind::Cmp(CmpOp::Lt),
+        BinaryOp::Le => OpKind::Cmp(CmpOp::Le),
+        BinaryOp::Gt => OpKind::Cmp(CmpOp::Gt),
+        BinaryOp::Ge => OpKind::Cmp(CmpOp::Ge),
+        BinaryOp::Add => OpKind::Arith(ArithOp::Add),
+        BinaryOp::Sub => OpKind::Arith(ArithOp::Sub),
+        BinaryOp::Mul => OpKind::Arith(ArithOp::Mul),
+        BinaryOp::Div => OpKind::Arith(ArithOp::Div),
+        BinaryOp::Rem => OpKind::Arith(ArithOp::Rem),
+    }
+}
+
+impl CmpOp {
+    /// Whether `a op b` holds for two values that order as `ord`.
+    pub(crate) fn orders(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
+        }
+    }
+
+    /// `a op b` as [`binary`] decides it for two numbers or two strings:
+    /// `==`/`!=` by equality, the orderings by `partial_cmp` with an
+    /// unordered pair (a NaN) counting as equal.
+    pub(crate) fn holds<T: PartialOrd + ?Sized>(self, a: &T, b: &T) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            _ => self.orders(a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)),
+        }
+    }
 }
 
 /// Scalar environment: variables bound by `LET` and `AGG`.
@@ -56,11 +171,10 @@ pub(crate) fn num(v: &Value, what: &str) -> Result<f64, IqlError> {
 }
 
 pub(crate) fn binary(op: BinaryOp, l: Value, r: Value) -> Result<Value, IqlError> {
-    use BinaryOp::*;
-    Ok(match op {
-        And => Value::Int(i64::from(l.truthy() && r.truthy())),
-        Or => Value::Int(i64::from(l.truthy() || r.truthy())),
-        Eq | Ne => {
+    Ok(match op_kind(op) {
+        OpKind::And => Value::Int(i64::from(l.truthy() && r.truthy())),
+        OpKind::Or => Value::Int(i64::from(l.truthy() || r.truthy())),
+        OpKind::Cmp(cmp @ (CmpOp::Eq | CmpOp::Ne)) => {
             let equal = match (&l, &r) {
                 (Value::Str(a), Value::Str(b)) => a == b,
                 _ => match (l.as_f64(), r.as_f64()) {
@@ -68,20 +182,10 @@ pub(crate) fn binary(op: BinaryOp, l: Value, r: Value) -> Result<Value, IqlError
                     _ => l.to_string() == r.to_string(),
                 },
             };
-            Value::Int(i64::from(if op == Eq { equal } else { !equal }))
+            Value::Int(i64::from(equal == (cmp == CmpOp::Eq)))
         }
-        Lt | Le | Gt | Ge => {
-            let ord = compare_values(&l, &r);
-            let res = match op {
-                Lt => ord == std::cmp::Ordering::Less,
-                Le => ord != std::cmp::Ordering::Greater,
-                Gt => ord == std::cmp::Ordering::Greater,
-                Ge => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Value::Int(i64::from(res))
-        }
-        Add | Sub | Mul | Div | Rem => {
+        OpKind::Cmp(cmp) => Value::Int(i64::from(cmp.orders(compare_values(&l, &r)))),
+        OpKind::Arith(op) => {
             let a = num(&l, "left operand")?;
             let b = num(&r, "right operand")?;
             let v = arith_f64(op, a, b);
@@ -102,29 +206,28 @@ pub(crate) fn stays_int(v: f64) -> bool {
 
 /// The `f64` arithmetic kernel behind [`binary`]; the vectorized executor
 /// calls it directly on unboxed columns.
-pub(crate) fn arith_f64(op: BinaryOp, a: f64, b: f64) -> f64 {
+pub(crate) fn arith_f64(op: ArithOp, a: f64, b: f64) -> f64 {
     match op {
-        BinaryOp::Add => a + b,
-        BinaryOp::Sub => a - b,
-        BinaryOp::Mul => a * b,
+        ArithOp::Add => a + b,
+        ArithOp::Sub => a - b,
+        ArithOp::Mul => a * b,
         // Division by zero yields 0 rather than NaN: diagnosis ratios over
         // empty populations should read as "0%", not poison every
         // downstream conclusion.
-        BinaryOp::Div => {
+        ArithOp::Div => {
             if b == 0.0 {
                 0.0
             } else {
                 a / b
             }
         }
-        BinaryOp::Rem => {
+        ArithOp::Rem => {
             if b == 0.0 {
                 0.0
             } else {
                 a % b
             }
         }
-        _ => unreachable!("arith_f64 only handles arithmetic operators"),
     }
 }
 
@@ -221,35 +324,20 @@ pub(crate) fn percentile(mut vals: Vec<f64>, p: f64) -> f64 {
     vals[rank.min(vals.len()) - 1]
 }
 
-/// Fold an already-collected numeric population with one of the numeric
-/// aggregate functions (`sum`/`mean`/`min`/`max`/`std`); shared by both
-/// engines so the floating-point evaluation order is identical.
-pub(crate) fn numeric_agg(name: &str, vals: &[f64]) -> f64 {
+/// Fold an already-collected numeric population with `agg`; shared by
+/// both engines so the floating-point evaluation order is identical. An
+/// empty population sums to the empty `f64` sum and folds to 0 otherwise.
+pub(crate) fn numeric_agg(agg: NumericAgg, vals: &[f64]) -> f64 {
     let n = vals.len();
-    let v = match name {
-        "sum" => vals.iter().sum::<f64>(),
-        "mean" => {
-            if n == 0 {
-                0.0
-            } else {
-                vals.iter().sum::<f64>() / n as f64
-            }
+    match agg {
+        NumericAgg::Sum => vals.iter().sum::<f64>(),
+        _ if n == 0 => 0.0,
+        NumericAgg::Mean => vals.iter().sum::<f64>() / n as f64,
+        NumericAgg::Min => vals.iter().copied().fold(f64::INFINITY, f64::min),
+        NumericAgg::Max => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        NumericAgg::Std => {
+            let m = vals.iter().sum::<f64>() / n as f64;
+            (vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n as f64).sqrt()
         }
-        "min" => vals.iter().copied().fold(f64::INFINITY, f64::min),
-        "max" => vals.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        "std" => {
-            if n == 0 {
-                0.0
-            } else {
-                let m = vals.iter().sum::<f64>() / n as f64;
-                (vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n as f64).sqrt()
-            }
-        }
-        _ => unreachable!("not a numeric aggregate: {name}"),
-    };
-    if n == 0 && (name == "min" || name == "max") {
-        0.0
-    } else {
-        v
     }
 }

@@ -135,9 +135,9 @@ fn chunk_rebuild_tables(set: &TableSet, chunk_rows: usize) -> TableSet {
             for (c, v) in row.values().enumerate() {
                 b.cells().value(c, v);
             }
-            b.end_row().expect("in-memory builder is infallible");
+            b.end_row();
         }
-        out.insert(b.finish().expect("in-memory builder is infallible"));
+        out.insert(b.finish());
     }
     out
 }

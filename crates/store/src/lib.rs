@@ -54,13 +54,11 @@ pub mod driver;
 pub mod lru;
 pub mod memo;
 pub mod singleflight;
-pub mod spill;
 pub mod store;
 
 pub use batch::{analyze_dir, analyze_dir_with, BatchReport};
 pub use digest::{digest_bytes, Digest};
 pub use driver::StoredPipeline;
-pub use spill::SpillDir;
 pub use store::{GcReport, Store};
 
 use std::fmt;

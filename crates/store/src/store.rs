@@ -275,7 +275,7 @@ impl Store {
     /// Remove every manifest binding whose key starts with `prefix`,
     /// returning how many were removed. The objects themselves stay on
     /// disk until the next [`Store::gc`] — this only drops references
-    /// (e.g. a spill session releasing its chunk pins).
+    /// (e.g. every binding of one trace under `trace/<hex>/`).
     pub fn unbind_prefix(&self, prefix: &str) -> Result<usize, StoreError> {
         let mut state = self.manifest.lock();
         let doomed: Vec<String> = state
@@ -291,19 +291,6 @@ impl Store {
             self.persist_manifest(&mut state)?;
         }
         Ok(doomed.len())
-    }
-
-    /// Bind `key` to an object that already exists in the object dir,
-    /// without re-writing bytes or promoting anything into memory (spill
-    /// pins reference chunks that were paged out precisely because
-    /// memory is tight).
-    pub(crate) fn bind(&self, key: &str, digest: Digest) -> Result<(), StoreError> {
-        let mut state = self.manifest.lock();
-        let changed = state.map.insert(key, digest) != Some(digest);
-        if changed {
-            self.persist_manifest(&mut state)?;
-        }
-        Ok(())
     }
 
     /// Prune objects not referenced by the manifest. With `dry_run` the

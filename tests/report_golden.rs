@@ -4,9 +4,9 @@
 //! Each test generates one trace at the scale the figure tests use and
 //! renders its report through every way the system can ingest it: the
 //! in-memory pipeline, serialized bytes, streaming extraction at several
-//! chunk sizes (with and without a spill directory), the incremental
-//! store cold and warm, and the `ion-serve` daemon over HTTP. Every path
-//! must match the committed file under `tests/golden/` byte for byte.
+//! chunk sizes, the incremental store cold and warm, and the `ion-serve`
+//! daemon over HTTP. Every path must match the committed file under
+//! `tests/golden/` byte for byte.
 //! Refactors of the decoder, the extractor, the IQL engine, the model
 //! or the summarizer must leave every report identical; a deliberate
 //! report change re-records the affected file.
@@ -17,12 +17,12 @@
 //! contexts renders.
 
 use darshan::log::{Log, LogWriter};
-use extractor::{extract_stream, ChunkPager, DEFAULT_CHUNK_ROWS};
+use extractor::{extract_stream, DEFAULT_CHUNK_ROWS};
 use ion::context::builtin_contexts;
 use ion::pipeline::IonPipeline;
 use ion_llm::{DeterministicExpert, LanguageModel, ModelAction, Thread};
 use ion_serve::{client, Daemon, ServeConfig};
-use ion_store::{SpillDir, Store, StoredPipeline};
+use ion_store::{Store, StoredPipeline};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,8 +81,8 @@ fn assert_same(name: &str, path: &str, report: &str, golden: &str, golden_file: 
 
 /// Stream-extract `bytes`, then analyze the tables with the parameters
 /// derived from the skeleton.
-fn streamed(bytes: &[u8], chunk_rows: usize, pager: Option<Arc<dyn ChunkPager>>) -> String {
-    let extracted = extract_stream(bytes, chunk_rows, pager).expect("stream extraction");
+fn streamed(bytes: &[u8], chunk_rows: usize) -> String {
+    let extracted = extract_stream(bytes, chunk_rows).expect("stream extraction");
     let pipeline = IonPipeline::new();
     let params = pipeline.params_for(&extracted.skeleton);
     pipeline
@@ -157,18 +157,12 @@ fn check(name: &str, workload: &dyn Workload) {
         "run_bytes",
         &IonPipeline::new().run_bytes(&bytes).unwrap().render_text(),
     );
-    expect("stream, 1-row chunks", &streamed(&bytes, 1, None));
+    expect("stream, 1-row chunks", &streamed(&bytes, 1));
+    expect("stream, 7-row chunks", &streamed(&bytes, 7));
     expect(
         "stream, default chunks",
-        &streamed(&bytes, DEFAULT_CHUNK_ROWS, None),
+        &streamed(&bytes, DEFAULT_CHUNK_ROWS),
     );
-    let spill_root = scratch_dir(name, "spill");
-    let pager: Arc<dyn ChunkPager> = Arc::new(SpillDir::new(&spill_root));
-    expect(
-        "stream + spill, 7-row chunks",
-        &streamed(&bytes, 7, Some(pager)),
-    );
-    let _ = std::fs::remove_dir_all(&spill_root);
 
     let store_root = scratch_dir(name, "store");
     {
