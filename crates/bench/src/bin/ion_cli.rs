@@ -21,6 +21,10 @@
 //!         [-o <out.json>]                     Chrome trace_event JSON (Perfetto)
 //! ```
 //!
+//! A `--flag` that is neither one of the global flags below nor one of
+//! the command's own is rejected by name. An input that cannot be read
+//! or decoded prints its error alone, without the usage text.
+//!
 //! `--store <dir>` (valid anywhere on the command line) backs `analyze`,
 //! `batch`, `qa` and `serve` with the content-addressed incremental
 //! store: stages whose inputs did not change are served from cache
@@ -325,9 +329,15 @@ fn workload_by_name(name: &str, scale: f64) -> Option<Box<dyn Workload>> {
     })
 }
 
-fn load(path: &str) -> Result<darshan::log::Log, String> {
-    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    LogReader::read(&bytes).map_err(|e| format!("cannot decode {path}: {e}"))
+/// The bytes of the input at `path`. An unreadable input is an outcome
+/// failure: the error names it, and no usage text buries that.
+fn read(path: &str) -> Result<Vec<u8>, Failure> {
+    fs::read(path).map_err(|e| Failure::outcome(format!("cannot read {path}: {e}")))
+}
+
+fn load(path: &str) -> Result<darshan::log::Log, Failure> {
+    LogReader::read(&read(path)?)
+        .map_err(|e| Failure::outcome(format!("cannot decode {path}: {e}")))
 }
 
 /// Full diagnosis of trace bytes — incremental when `--store` is given,
@@ -422,14 +432,41 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
     };
     // `ion-cli --profile trace.darshan` profiles the default full-pipeline
     // command: a bare trace path means `analyze`.
-    let implicit_analyze = [String::from("analyze"), cmd.clone()];
+    let implicit_analyze: Vec<String>;
     let args: &[String] =
         if !COMMANDS.contains(&cmd.as_str()) && std::path::Path::new(cmd).is_file() {
+            implicit_analyze = std::iter::once("analyze".to_owned())
+                .chain(args.iter().cloned())
+                .collect();
             &implicit_analyze
         } else {
             args
         };
     let cmd = &args[0];
+    // The global flags are stripped already; any `--flag` left over must
+    // be one of the command's own.
+    if cmd.starts_with("--") {
+        return Err(format!("unknown flag {cmd}").into());
+    }
+    let own_flags: &[&str] = match cmd.as_str() {
+        "iql" => &["--explain"],
+        "store" => &["--apply"],
+        "obs" => &["--chrome"],
+        "fuzz" => &[
+            "--iters",
+            "--seed",
+            "--minimize",
+            "--replay",
+            "--save-crashes",
+        ],
+        _ => &[],
+    };
+    if let Some(flag) = args[1..]
+        .iter()
+        .find(|a| a.starts_with("--") && !own_flags.contains(&a.as_str()))
+    {
+        return Err(format!("unknown flag {flag} for {cmd}").into());
+    }
     match cmd.as_str() {
         "generate" => {
             let (name, out) = match (args.get(1), args.get(2)) {
@@ -471,7 +508,7 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
         "analyze" => {
             let path = args.get(1).ok_or("analyze needs <log.darshan>")?;
             // Feed bytes so the decode span nests under the pipeline span.
-            let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let bytes = read(path)?;
             let report = analyze_bytes(&bytes, flags).map_err(|e| e.about(path))?;
             emit(&report.render_text());
             let problems = report.consistency();
@@ -699,8 +736,8 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
                     })
                     .map(|(_, a)| a)
                     .ok_or("obs export needs --chrome <trace.json>")?;
-                let text =
-                    fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+                let text = fs::read_to_string(input)
+                    .map_err(|e| Failure::outcome(format!("cannot read {input}: {e}")))?;
                 let doc = ion_obs::json::parse(&text).map_err(|e| format!("{input}: {e}"))?;
                 let spans = ion_obs::trace::parse_spans(&doc).ok_or_else(|| {
                     format!("{input}: no \"spans\" array (expected an ion-trace/1 document)")
@@ -768,7 +805,7 @@ fn dispatch(args: &[String], flags: &ObsFlags) -> Result<(), Failure> {
         }
         "qa" => {
             let path = args.get(1).ok_or("qa needs <log.darshan> [questions...]")?;
-            let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let bytes = read(path)?;
             let report = analyze_bytes(&bytes, flags).map_err(|e| e.about(path))?;
             emit(&format!("{}\n", report.summary));
             let mut session = report.session();

@@ -1,9 +1,11 @@
 //! Typed column builders: the way extracted rows enter a table.
 //!
 //! Both table sinks, the batch extractor's in-memory tables and the
-//! streaming extractor's [`ChunkedTableBuilder`], append each row as one
-//! typed cell per column into a [`ColumnBuilder`]; no row is ever a
-//! `Vec<Value>`. Strings that repeat down a column (paths, DXT layer and
+//! streaming extractor's [`ChunkedTableBuilder`], append typed cells
+//! into a [`ColumnBuilder`]; no row is ever a `Vec<Value>`. Narrow
+//! counter rows go in cell by cell. A DXT record goes in a column at a
+//! time: its constant cells as runs, its segments as one slice per
+//! column. Strings that repeat down a column (paths, DXT layer and
 //! operation names) are dictionary-coded: the extractor interns a
 //! string once per record (`ColumnBuilder::code`) and appends the
 //! code for every row that carries it, so a DXT segment allocates no
@@ -36,25 +38,61 @@ impl ColumnBuilder {
         }
     }
 
+    /// Make room for `n` more rows in every column. An empty column
+    /// keeps that room when its first cells fix its kind.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        for col in &mut self.cols {
+            match col {
+                ColumnData::Int { values, .. } => values.reserve(n),
+                ColumnData::Float { values, .. } => values.reserve(n),
+                ColumnData::Dict { codes, .. } => codes.reserve(n),
+                _ => {}
+            }
+        }
+    }
+
     /// Append an integer cell to column `c`.
     pub(crate) fn int(&mut self, c: usize, v: i64) {
+        self.ints(c, [v]);
+    }
+
+    /// Append `n` integer cells `v` to column `c`.
+    pub(crate) fn int_run(&mut self, c: usize, v: i64, n: usize) {
+        self.ints(c, std::iter::repeat_n(v, n));
+    }
+
+    /// Append integer cells to column `c`.
+    pub(crate) fn ints(&mut self, c: usize, vs: impl IntoIterator<Item = i64>) {
         match &mut self.cols[c] {
             ColumnData::Int {
                 values,
                 validity: None,
-            } => values.push(v),
-            col => col.push(Value::Int(v)),
+            } => values.extend(vs),
+            col => vs.into_iter().for_each(|v| col.push(Value::Int(v))),
         }
     }
 
     /// Append a float cell to column `c`.
     pub(crate) fn float(&mut self, c: usize, v: f64) {
-        match &mut self.cols[c] {
+        self.floats(c, [v]);
+    }
+
+    /// Append float cells to column `c`. An empty column becomes a
+    /// float column.
+    pub(crate) fn floats(&mut self, c: usize, vs: impl IntoIterator<Item = f64>) {
+        let col = &mut self.cols[c];
+        if col.is_empty() && !matches!(col, ColumnData::Float { .. }) {
+            *col = ColumnData::Float {
+                values: Vec::with_capacity(capacity(col)),
+                validity: None,
+            };
+        }
+        match col {
             ColumnData::Float {
                 values,
                 validity: None,
-            } => values.push(v),
-            col => col.push(Value::Float(v)),
+            } => values.extend(vs),
+            col => vs.into_iter().for_each(|v| col.push(Value::Float(v))),
         }
     }
 
@@ -69,7 +107,7 @@ impl ColumnBuilder {
         let col = &mut self.cols[c];
         if col.is_empty() && !matches!(col, ColumnData::Dict { .. }) {
             *col = ColumnData::Dict {
-                codes: Vec::new(),
+                codes: Vec::with_capacity(capacity(col)),
                 dict: Vec::new(),
                 validity: None,
             };
@@ -95,15 +133,24 @@ impl ColumnBuilder {
     ///
     /// Panics when `code` is not a code of column `c`.
     pub(crate) fn coded(&mut self, c: usize, code: u32) {
+        self.coded_run(c, code, 1);
+    }
+
+    /// Append `n` cells of the string coded `code` to column `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `code` is not a code of column `c`.
+    pub(crate) fn coded_run(&mut self, c: usize, code: u32, n: usize) {
         match &mut self.cols[c] {
             ColumnData::Dict {
                 codes,
                 dict,
                 validity,
             } if (code as usize) < dict.len() => {
-                codes.push(code);
+                codes.resize(codes.len() + n, code);
                 if let Some(b) = validity {
-                    b.push(true);
+                    (0..n).for_each(|_| b.push(true));
                 }
             }
             _ => panic!("{code} is not a dictionary code of column {c}"),
@@ -159,5 +206,15 @@ impl ColumnBuilder {
     /// The finished columns.
     pub(crate) fn finish(self) -> Vec<ColumnData> {
         self.cols
+    }
+}
+
+/// The rows a column has room for without growing.
+fn capacity(col: &ColumnData) -> usize {
+    match col {
+        ColumnData::Int { values, .. } => values.capacity(),
+        ColumnData::Float { values, .. } => values.capacity(),
+        ColumnData::Dict { codes, .. } => codes.capacity(),
+        _ => 0,
     }
 }

@@ -88,9 +88,26 @@ impl ChunkedTableBuilder {
     /// Panics at a seal when some column did not get exactly one cell
     /// per closed row.
     pub fn end_row(&mut self) {
-        self.open_rows += 1;
-        self.total_rows += 1;
-        if self.open_rows >= self.chunk_rows {
+        self.end_rows(1);
+    }
+
+    /// Rows the open chunk takes before it seals.
+    pub(crate) fn room(&self) -> usize {
+        self.chunk_rows - self.open_rows
+    }
+
+    /// Close the `n` rows whose cells were just appended, like `n` calls
+    /// of [`end_row`](Self::end_row).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is more than the [`room`](Self::room) left, which
+    /// would seal a chunk past the budget.
+    pub(crate) fn end_rows(&mut self, n: usize) {
+        assert!(n <= self.room(), "{n} rows overrun the open chunk");
+        self.open_rows += n;
+        self.total_rows += n;
+        if self.open_rows == self.chunk_rows {
             self.seal();
         }
     }
@@ -664,6 +681,15 @@ mod tests {
         push(&mut b, sample_row(0));
         b.cells().value(0, Value::Int(1));
         b.end_row();
+    }
+
+    #[test]
+    #[should_panic(expected = "overrun the open chunk")]
+    fn a_bulk_close_past_the_open_chunk_panics() {
+        let mut b = ChunkedTableBuilder::new("T", &COLS, 4);
+        push(&mut b, sample_row(0));
+        assert_eq!(b.room(), 3);
+        b.end_rows(4);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use darshan::counters::{
 use darshan::dxt::{DxtRecord, OpKind};
 use darshan::heatmap::HeatmapRecord;
 use darshan::log::Log;
-use darshan::records::LustreRecord;
+use darshan::records::{LustreRecord, MpiioRecord, PosixRecord, StdioRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -180,8 +180,9 @@ fn heatmap_rows<S: TableSink>(t: &mut S, r: &HeatmapRecord) {
 }
 
 /// The `DXT` table rows of a record, one per traced operation (writes
-/// first, as [`DxtRecord::iter`] orders them). The record's path, layer
-/// and operation names are coded once, not per segment.
+/// first, as [`DxtRecord::iter`] orders them), appended a column at a
+/// time. The record's id, path, rank, layer and operation are runs;
+/// each run of segments is split where the sink seals.
 fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) {
     if r.is_empty() {
         return;
@@ -195,34 +196,52 @@ fn dxt_rows<S: TableSink>(t: &mut S, r: &DxtRecord, path: Option<&str>) {
             continue;
         }
         let op = t.cells().code(4, kind.name());
-        for s in segments {
+        let mut rest = &segments[..];
+        while !rest.is_empty() {
+            let (slice, tail) = rest.split_at(rest.len().min(t.room()));
+            rest = tail;
+            let n = slice.len();
             let cells = t.cells();
-            cells.int(0, r.file_id as i64);
-            cells.coded(1, path);
-            cells.int(2, i64::from(r.rank));
-            cells.coded(3, module);
-            cells.coded(4, op);
-            cells.int(5, seg_no);
-            cells.int(6, s.offset as i64);
-            cells.int(7, s.length as i64);
-            cells.float(8, s.start_time);
-            cells.float(9, s.end_time);
-            t.end_row();
-            seg_no += 1;
+            cells.int_run(0, r.file_id as i64, n);
+            cells.coded_run(1, path, n);
+            cells.int_run(2, i64::from(r.rank), n);
+            cells.coded_run(3, module, n);
+            cells.coded_run(4, op, n);
+            cells.ints(5, seg_no..seg_no + n as i64);
+            cells.ints(6, slice.iter().map(|s| s.offset as i64));
+            cells.ints(7, slice.iter().map(|s| s.length as i64));
+            cells.floats(8, slice.iter().map(|s| s.start_time));
+            cells.floats(9, slice.iter().map(|s| s.end_time));
+            t.end_rows(n);
+            seg_no += n as i64;
         }
     }
 }
 
 /// A table under construction: a [`BatchTable`] for the batch
 /// extractor, a [`ChunkedTableBuilder`] for the streaming one. Both take
-/// a row as typed cells appended to their [`ColumnBuilder`].
+/// rows as typed cells appended to their [`ColumnBuilder`].
 pub(crate) trait TableSink {
-    /// The open row's columns.
+    /// The open rows' columns.
     fn cells(&mut self) -> &mut ColumnBuilder;
-    /// Close the row whose cells were just appended.
-    fn end_row(&mut self);
+    /// Rows the sink takes before it seals its open chunk.
+    fn room(&self) -> usize;
+    /// Close the `n` rows whose cells were just appended; `n` is at most
+    /// [`room`](Self::room).
+    fn end_rows(&mut self, n: usize);
     /// The finished table.
     fn into_table(self) -> Table;
+
+    /// Close the row whose cells were just appended.
+    fn end_row(&mut self) {
+        self.end_rows(1);
+    }
+
+    /// Make room for `n` more rows, but never past the open chunk.
+    fn reserve(&mut self, n: usize) {
+        let n = n.min(self.room());
+        self.cells().reserve(n);
+    }
 }
 
 /// The batch extractor's table: every column whole, in memory.
@@ -247,7 +266,11 @@ impl TableSink for BatchTable {
         &mut self.cells
     }
 
-    fn end_row(&mut self) {}
+    fn room(&self) -> usize {
+        usize::MAX
+    }
+
+    fn end_rows(&mut self, _: usize) {}
 
     fn into_table(self) -> Table {
         let columns = self
@@ -264,12 +287,42 @@ impl TableSink for ChunkedTableBuilder {
         ChunkedTableBuilder::cells(self)
     }
 
-    fn end_row(&mut self) {
-        ChunkedTableBuilder::end_row(self);
+    fn room(&self) -> usize {
+        ChunkedTableBuilder::room(self)
+    }
+
+    fn end_rows(&mut self, n: usize) {
+        ChunkedTableBuilder::end_rows(self, n);
     }
 
     fn into_table(self) -> Table {
         self.finish()
+    }
+}
+
+/// The rows a record adds to its table: one, unless it says otherwise.
+trait TableRows {
+    fn table_rows(&self) -> usize {
+        1
+    }
+}
+
+impl TableRows for PosixRecord {}
+impl TableRows for MpiioRecord {}
+impl TableRows for StdioRecord {}
+impl TableRows for LustreRecord {}
+
+impl TableRows for HeatmapRecord {
+    /// One per time bin ([`heatmap_rows`]).
+    fn table_rows(&self) -> usize {
+        self.read_bytes.len().min(self.write_bytes.len())
+    }
+}
+
+impl TableRows for DxtRecord {
+    /// One per traced operation ([`dxt_rows`]).
+    fn table_rows(&self) -> usize {
+        self.len()
     }
 }
 
@@ -348,8 +401,9 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
     }
 
     /// Push the rows of `records` into table `name`, creating it with
-    /// `columns()` on the first record.
-    fn push<R>(
+    /// `columns()` on the first record. Room for every record's rows is
+    /// made first, so no column grows by doubling.
+    fn push<R: TableRows>(
         &mut self,
         name: &'static str,
         columns: fn() -> Vec<&'static str>,
@@ -367,6 +421,7 @@ impl<S: TableSink, F: Fn(&str, &[&str]) -> S> ModuleTables<S, F> {
             }
         };
         let table = &mut self.tables[i].1;
+        table.reserve(records.iter().map(TableRows::table_rows).sum());
         for r in records {
             rows(table, &self.paths, r);
         }
@@ -518,6 +573,17 @@ mod tests {
                 panic!("{column} is not dictionary-coded: {data:?}");
             };
             assert_eq!(dict.len(), entries, "{column}: {dict:?}");
+        }
+        for column in ["file_id", "rank", "segment", "offset", "length"] {
+            let data = t.column(t.column_index(column).unwrap()).unwrap();
+            assert!(matches!(data, ColumnData::Int { .. }), "{column}: {data:?}");
+        }
+        for column in ["start_time", "end_time"] {
+            let data = t.column(t.column_index(column).unwrap()).unwrap();
+            assert!(
+                matches!(data, ColumnData::Float { .. }),
+                "{column}: {data:?}"
+            );
         }
         for (i, c) in t.columns.iter().enumerate() {
             let data = t.column(i).unwrap();

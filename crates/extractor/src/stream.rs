@@ -97,6 +97,7 @@ pub fn extract_stream<R: Read>(src: R, chunk_rows: usize) -> Result<StreamExtrac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::encode_table;
     use crate::extract::extract_tables;
     use darshan::accum::PosixAccumulator;
     use darshan::dxt::{DxtLayer, DxtRecord, DxtSegment, OpKind};
@@ -149,6 +150,49 @@ mod tests {
             assert_eq!(streamed.tables.get(name).unwrap(), t, "table {name}");
         }
         assert_eq!(streamed.bytes_read as usize, bytes.len());
+    }
+
+    #[test]
+    fn dxt_runs_split_at_every_seal_and_match_batch() {
+        // 20 writes and 13 reads in one record, then a second record:
+        // chunk budgets of 1, 7, 8 and 33 rows seal inside the writes,
+        // at the write/read turn, inside the reads and at the record
+        // boundary.
+        let mut w = LogWriter::new(JobRecord::new(1, 2, 2));
+        let seg = |i: u64| DxtSegment {
+            offset: i * 512,
+            length: 512 + i,
+            start_time: i as f64 * 0.5,
+            end_time: i as f64 * 0.5 + 0.25,
+        };
+        for (path, rank, layer, writes, reads) in [
+            ("/a", 0, DxtLayer::Posix, 0..20, 100..113),
+            ("/b", 1, DxtLayer::MpiIo, 7..8, 0..5),
+        ] {
+            let id = record_id(path);
+            w.register_name(id, path);
+            let mut d = DxtRecord::new(id, rank, layer, "nid0");
+            writes.for_each(|i| d.push(OpKind::Write, seg(i)));
+            reads.for_each(|i| d.push(OpKind::Read, seg(i)));
+            w.add_dxt_record(d);
+        }
+        let log = w.into_log();
+        let bytes = LogWriter::from_log(log.clone()).finish().unwrap();
+        let batch = extract_tables(&log);
+        let dxt = batch.get("DXT").unwrap();
+        assert_eq!(dxt.len(), 39);
+        for rows in [1, 7, 8, 33, 65_536] {
+            let streamed = extract_stream(&bytes[..], rows).unwrap().tables;
+            assert_eq!(streamed.names(), batch.names(), "{rows} rows per chunk");
+            let s = streamed.get("DXT").unwrap();
+            assert_eq!(s.len(), dxt.len(), "{rows} rows per chunk");
+            for (i, (want, got)) in dxt.iter_rows().zip(s.iter_rows()).enumerate() {
+                let (want, got): (Vec<_>, Vec<_>) =
+                    (want.values().collect(), got.values().collect());
+                assert_eq!(got, want, "row {i} at {rows} rows per chunk");
+            }
+            assert_eq!(encode_table(s), encode_table(dxt), "{rows} rows per chunk");
+        }
     }
 
     #[test]

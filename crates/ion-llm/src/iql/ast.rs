@@ -66,8 +66,10 @@ pub enum UnaryOp {
 /// An IQL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// Numeric literal.
-    Number(f64),
+    /// Integer literal.
+    Int(i64),
+    /// Float literal.
+    Float(f64),
     /// String literal.
     Str(String),
     /// Column or scalar-variable reference (resolved at evaluation time:
@@ -84,7 +86,8 @@ pub enum Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Number(n) => write!(f, "{n}"),
+            Expr::Int(n) => write!(f, "{n}"),
+            Expr::Float(n) => write!(f, "{n}"),
             Expr::Str(s) => write!(f, "{s:?}"),
             Expr::Ident(s) => f.write_str(s),
             Expr::Unary(op, e) => match op {
@@ -208,7 +211,7 @@ mod tests {
             Box::new(Expr::Binary(
                 Box::new(Expr::Ident("b".into())),
                 BinaryOp::Mul,
-                Box::new(Expr::Number(2.0)),
+                Box::new(Expr::Int(2)),
             )),
         );
         assert_eq!(e.to_string(), "(a + (b * 2))");

@@ -26,6 +26,11 @@
 //!   at a time in exactly the legacy visit order, so a failing program
 //!   reports the legacy error for the legacy row. `iql.rows.generic`
 //!   counts the rows it evaluates.
+//!
+//! A computed column whose rows disagree in type is built `Mixed`, one
+//! boxed cell per row; `iql.columns.mixed` counts such columns. Integer
+//! literals are `Int`, so `if(length < rpc_size, length, 0)` over an
+//! `Int` column stays `Int`.
 #![cfg_attr(
     not(test),
     deny(
@@ -450,7 +455,8 @@ fn apply(
 
 fn eval_row(expr: &Expr, rel: &Relation, i: usize, env: &Env) -> Result<Value, IqlError> {
     match expr {
-        Expr::Number(n) => Ok(Value::Float(*n)),
+        Expr::Int(n) => Ok(Value::Int(*n)),
+        Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Ident(name) => {
             if let Some(c) = rel.col_idx(name) {
@@ -500,7 +506,8 @@ fn evaluate(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Ce
 /// Aggregate-context evaluation (mirrors the legacy `eval_agg_expr`).
 fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Value, IqlError> {
     match expr {
-        Expr::Number(n) => Ok(Value::Float(*n)),
+        Expr::Int(n) => Ok(Value::Int(*n)),
+        Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Ident(name) => {
             // In aggregate context a bare identifier means "this scalar",
@@ -986,6 +993,16 @@ fn entry_count(col: &ColRef) -> Option<usize> {
     }
 }
 
+/// `if(m, x, y)` over two numbers, by `value_ops::scalar_call`'s rule:
+/// the chosen one, made `Float` when either branch is `Float`.
+fn pick(m: bool, x: Num, y: Num) -> Num {
+    let v = if m { x } else { y };
+    match (x, y) {
+        (Num::Int(_), Num::Int(_)) => v,
+        _ => Num::Float(v.f64()),
+    }
+}
+
 /// `if(mask, a, b)` per row.
 fn select<T>(mask: Vec<bool>, a: Vec<T>, b: Vec<T>) -> Vec<T> {
     let picks = mask.into_iter().zip(a.into_iter().zip(b));
@@ -1011,9 +1028,12 @@ impl NumExpr<'_> {
             NumExpr::If(c, a, b) => {
                 let mask = c.eval(at);
                 match (&**a, &**b) {
-                    (_, NumExpr::Const(y)) => zip(mask, a.eval(at), |m, x| if m { x } else { *y }),
-                    (NumExpr::Const(x), _) => zip(mask, b.eval(at), |m, y| if m { *x } else { y }),
-                    _ => select(mask, a.eval(at), b.eval(at)),
+                    (_, NumExpr::Const(y)) => zip(mask, a.eval(at), |m, x| pick(m, x, *y)),
+                    (NumExpr::Const(x), _) => zip(mask, b.eval(at), |m, y| pick(m, *x, y)),
+                    _ => {
+                        let picks = mask.into_iter().zip(a.eval(at).into_iter().zip(b.eval(at)));
+                        picks.map(|(m, (x, y))| pick(m, x, y)).collect()
+                    }
                 }
             }
             NumExpr::PerEntry(col, e) => per_entry(col, at, |at| e.eval(at)),
@@ -1088,7 +1108,7 @@ impl<'a> Resolver<'a, '_> {
         }
         match e {
             // Literals read no column, so the fold above took them.
-            Expr::Number(_) | Expr::Str(_) => None,
+            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) => None,
             Expr::Ident(name) => self.column(name),
             Expr::Unary(UnaryOp::Neg, x) => Some(Kernel::Num(NumExpr::Math(|v| -v, self.num(x)?))),
             Expr::Unary(UnaryOp::Not, x) => Some(Kernel::Bool(BoolExpr::Not(self.mask(x)?))),
@@ -1099,7 +1119,7 @@ impl<'a> Resolver<'a, '_> {
 
     fn reads_column(&self, e: &Expr) -> bool {
         match e {
-            Expr::Number(_) | Expr::Str(_) => false,
+            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) => false,
             Expr::Ident(name) => self.rel.col_idx(name).is_some(),
             Expr::Unary(_, x) => self.reads_column(x),
             Expr::Binary(l, _, r) => self.reads_column(l) || self.reads_column(r),
@@ -1209,9 +1229,9 @@ impl Cells {
     }
 
     /// The column that pushing each row's value builds (`DERIVE`,
-    /// `distinct`).
+    /// `distinct`), counted under `iql.columns.mixed` when it is `Mixed`.
     fn column(self) -> ColumnData {
-        match self {
+        let col = match self {
             // `push` keeps a column `Int` or `Float` while every row
             // agrees, and turns it `Mixed` at the first that does not.
             Cells::Num(v) => {
@@ -1247,6 +1267,10 @@ impl Cells {
             },
             Cells::Str(v) => ColumnData::from_values(v.into_iter().map(Value::Str)),
             Cells::Values(v) => ColumnData::from_values(v),
+        };
+        if matches!(col, ColumnData::Mixed(_)) {
+            ion_obs::counter("iql.columns.mixed", 1);
         }
+        col
     }
 }

@@ -266,7 +266,8 @@ fn eval_row_expr(
     env: &Env,
 ) -> Result<Value, IqlError> {
     match expr {
-        Expr::Number(n) => Ok(Value::Float(*n)),
+        Expr::Int(n) => Ok(Value::Int(*n)),
+        Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Ident(name) => {
             if let Some(i) = cols.iter().position(|c| c == name) {
@@ -313,7 +314,8 @@ fn eval_agg_expr(
     env: &Env,
 ) -> Result<Value, IqlError> {
     match expr {
-        Expr::Number(n) => Ok(Value::Float(*n)),
+        Expr::Int(n) => Ok(Value::Int(*n)),
+        Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Ident(name) => {
             // In aggregate context a bare identifier means "this scalar",

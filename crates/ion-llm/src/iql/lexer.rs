@@ -8,8 +8,11 @@ pub enum Token {
     /// Identifier or keyword (keywords are recognized by the parser,
     /// case-insensitively).
     Ident(String),
-    /// Numeric literal.
-    Number(f64),
+    /// Integer literal: digits only, no `.` or exponent.
+    Int(i64),
+    /// Float literal: a number with a `.` or an exponent, or an integer
+    /// too large for `i64`.
+    Float(f64),
     /// String literal (single or double quoted).
     Str(String),
     /// `+`
@@ -114,11 +117,16 @@ pub fn tokenize(src: &str) -> Result<Vec<(Token, usize)>, IqlError> {
                         break;
                     }
                 }
-                let n: f64 = s.parse().map_err(|_| IqlError::Parse {
-                    message: format!("bad number literal {s}"),
-                    line,
-                })?;
-                out.push((Token::Number(n), line));
+                // Digits alone are an `Int`; a `.`, an exponent or
+                // overflow make a `Float`.
+                let token = match s.parse::<i64>() {
+                    Ok(n) => Token::Int(n),
+                    Err(_) => Token::Float(s.parse().map_err(|_| IqlError::Parse {
+                        message: format!("bad number literal {s}"),
+                        line,
+                    })?),
+                };
+                out.push((token, line));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut s = String::new();
@@ -230,11 +238,11 @@ mod tests {
             vec![
                 Token::Ident("a".into()),
                 Token::Ge,
-                Token::Number(1500.0),
+                Token::Float(1500.0),
                 Token::AndAnd,
                 Token::Ident("b".into()),
                 Token::NotEq,
-                Token::Number(2.0),
+                Token::Int(2),
                 Token::Newline
             ]
         );
@@ -242,7 +250,13 @@ mod tests {
 
     #[test]
     fn digit_separators() {
-        assert_eq!(toks("1_048_576")[0], Token::Number(1_048_576.0));
+        assert_eq!(toks("1_048_576")[0], Token::Int(1_048_576));
+        assert_eq!(toks("1_048_576.0")[0], Token::Float(1_048_576.0));
+        assert_eq!(toks("1e3")[0], Token::Float(1000.0));
+        assert_eq!(
+            toks("99999999999999999999")[0],
+            Token::Float(99_999_999_999_999_999_999.0)
+        );
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr, IqlError> {
         match self.next() {
-            Some(Token::Number(n)) => Ok(Expr::Number(n)),
+            Some(Token::Int(n)) => Ok(Expr::Int(n)),
+            Some(Token::Float(n)) => Ok(Expr::Float(n)),
             Some(Token::Str(s)) => Ok(Expr::Str(s)),
             Some(Token::Ident(name)) => {
                 if self.peek() == Some(&Token::LParen) {
@@ -240,7 +241,8 @@ impl Parser {
                 Stmt::Sort { column, descending }
             }
             "LIMIT" => match self.next() {
-                Some(Token::Number(n)) if n >= 0.0 => Stmt::Limit(n as usize),
+                Some(Token::Int(n)) if n >= 0 => Stmt::Limit(n as usize),
+                Some(Token::Float(n)) if n >= 0.0 => Stmt::Limit(n as usize),
                 other => return Err(self.err(format!("expected row count, found {other:?}"))),
             },
             "JOIN" => {

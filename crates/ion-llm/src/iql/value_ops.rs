@@ -248,11 +248,17 @@ pub(crate) fn scalar_call(name: &str, args: &[Value]) -> Result<Value, IqlError>
         ("max", 2) => Ok(Value::Float(
             num(&args[0], "max arg")?.max(num(&args[1], "max arg")?),
         )),
-        ("if", 3) => Ok(if args[0].truthy() {
-            args[1].clone()
-        } else {
-            args[2].clone()
-        }),
+        ("if", 3) => {
+            let chosen = if args[0].truthy() { &args[1] } else { &args[2] };
+            // Two numeric branches of which one is `Float` give a `Float`,
+            // so `if(c, x, 0)` over a `Float` `x` builds a `Float` column
+            // rather than a `Mixed` one.
+            Ok(match (&args[1], &args[2], chosen) {
+                (Value::Float(_), Value::Int(_), Value::Int(v))
+                | (Value::Int(_), Value::Float(_), Value::Int(v)) => Value::Float(*v as f64),
+                _ => chosen.clone(),
+            })
+        }
         ("contains", 2) => match (&args[0], &args[1]) {
             (Value::Str(h), Value::Str(n)) => Ok(Value::Int(i64::from(h.contains(&**n)))),
             _ => Err(bad("contains expects two strings")),
@@ -264,7 +270,8 @@ pub(crate) fn scalar_call(name: &str, args: &[Value]) -> Result<Value, IqlError>
 
 pub(crate) fn eval_scalar_expr(expr: &Expr, env: &Env) -> Result<Value, IqlError> {
     match expr {
-        Expr::Number(n) => Ok(Value::Float(*n)),
+        Expr::Int(n) => Ok(Value::Int(*n)),
+        Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Ident(name) => env
             .scalars

@@ -16,7 +16,8 @@
 //! columns, and every expression they evaluate resolves into the
 //! executor's expression kernel, so over these tables no row may take
 //! the rendered-string key fallback (`iql.keys.rendered`) or the
-//! row-at-a-time expression tier (`iql.rows.generic`): a silent fallback
+//! row-at-a-time expression tier (`iql.rows.generic`), and no computed
+//! column may be built `Mixed` (`iql.columns.mixed`): a silent fallback
 //! fails here instead of showing up as a slower benchmark.
 
 use darshan::log::{Log, LogReader, LogWriter};
@@ -130,6 +131,7 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
     ion_obs::enable();
     let before = counter("iql.keys.rendered");
     let generic = counter("iql.rows.generic");
+    let mixed_columns = counter("iql.columns.mixed");
     let mut queries = counter("iql.queries_evaluated");
     for (name, workload) in golden_traces() {
         let (bytes, log) = decoded(workload.as_ref());
@@ -150,6 +152,11 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
             counter("iql.rows.generic"),
             generic,
             "{name}: rows evaluated by the row tier"
+        );
+        assert_eq!(
+            counter("iql.columns.mixed"),
+            mixed_columns,
+            "{name}: computed columns built Mixed"
         );
         assert!(
             counter("iql.queries_evaluated") > queries,
@@ -175,4 +182,37 @@ fn expert_programs_never_key_rows_by_rendered_strings() {
     let out = Interpreter::new(&tables).run(&program).unwrap();
     assert_eq!(out.table.map(|t| t.len()), Some(3));
     assert_eq!(counter("iql.rows.generic"), generic + 3);
+    // So does the Mixed-column counter. An integer literal keeps an `Int`
+    // column `Int`, a float literal makes it `Float`; rows that disagree
+    // in type (`Int / Int` is `Int` only when exact) make it Mixed.
+    let mut ints = Table::new("N", &["n"]);
+    for n in [1, 2, 3] {
+        ints.push_row(vec![Value::Int(n)]);
+    }
+    tables.insert(ints);
+    for (derive, cells) in [
+        ("if(n > 1, n, 0)", [Value::Int(0), Value::Int(2)]),
+        ("if(n > 1, n, 0.5)", [Value::Float(0.5), Value::Float(2.0)]),
+    ] {
+        let program = parse_program(&format!("LOAD N\nDERIVE d = {derive}")).unwrap();
+        let t = Interpreter::new(&tables)
+            .run(&program)
+            .unwrap()
+            .table
+            .unwrap();
+        assert_eq!(
+            [t.cell(0, "d"), t.cell(1, "d")],
+            cells.map(Some),
+            "{derive}"
+        );
+    }
+    assert_eq!(counter("iql.columns.mixed"), mixed_columns);
+    let program = parse_program("LOAD N\nDERIVE d = n / 2").unwrap();
+    let t = Interpreter::new(&tables)
+        .run(&program)
+        .unwrap()
+        .table
+        .unwrap();
+    assert_eq!(t.cell(1, "d"), Some(Value::Int(1)));
+    assert_eq!(counter("iql.columns.mixed"), mixed_columns + 1);
 }
