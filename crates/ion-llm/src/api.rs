@@ -395,7 +395,7 @@ fn execute_code(src: &str, tables: &TableSet) -> Result<(String, Option<String>)
         let plan = interp.plan(&program);
         let summary = plan.summary();
         ion_obs::event!("iql.plan", summary = summary.as_str(), explain = true);
-        return Ok((format!("{summary}\n"), Some(plan.render(tables))));
+        return Ok((format!("{summary}\n"), Some(plan.render())));
     }
     let out = interp.run(&program)?;
     let mut text = String::new();

@@ -1,10 +1,10 @@
-//! IQL evaluation facade: lowers a program to its logical plan and runs
-//! the vectorized columnar executor over it (see [`super::plan`] and
-//! `super::exec`).
+//! IQL evaluation facade: resolves a program's statements once against
+//! the attached tables (`super::plan`) and runs the columnar executor
+//! (`super::exec`) over the resolved statements.
 
 use super::ast::Program;
 use super::exec;
-use super::plan::{lower, Plan};
+use super::plan::{resolve, Plan};
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
 
@@ -56,10 +56,10 @@ impl<'a> Interpreter<'a> {
     pub fn run(&self, program: &Program) -> Result<RunOutput, IqlError> {
         let plan = self.plan(program);
         if !ion_obs::enabled() {
-            return exec::execute(&plan, self.tables);
+            return exec::execute(&plan);
         }
         let start = std::time::Instant::now();
-        let result = exec::execute(&plan, self.tables);
+        let result = exec::execute(&plan);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         ion_obs::observe("iql.query_ns", ns);
         ion_obs::counter("iql.queries_evaluated", 1);
@@ -69,12 +69,13 @@ impl<'a> Interpreter<'a> {
         result
     }
 
-    /// Lower a program into its execution [`Plan`].
+    /// Resolve a program's statements against the attached tables: its
+    /// execution [`Plan`].
     #[must_use]
-    pub fn plan(&self, program: &Program) -> Plan {
-        let plan = lower(program);
+    pub fn plan<'p>(&'p self, program: &'p Program) -> Plan<'p> {
+        let plan = resolve(program, self.tables);
         if ion_obs::enabled() {
-            ion_obs::counter("iql.plan.ops", plan.ops.len() as u64);
+            ion_obs::counter("iql.plan.ops", plan.steps.len() as u64);
         }
         plan
     }
@@ -82,7 +83,7 @@ impl<'a> Interpreter<'a> {
     /// Render the plan for a program (`EXPLAIN` output).
     #[must_use]
     pub fn explain(&self, program: &Program) -> String {
-        self.plan(program).render(self.tables)
+        self.plan(program).render()
     }
 }
 

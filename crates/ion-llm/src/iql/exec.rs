@@ -1,4 +1,9 @@
-//! Vectorized columnar executor for IQL plans.
+//! Vectorized columnar executor for resolved IQL programs.
+//!
+//! Each statement arrives resolved against the attached tables
+//! (`super::plan`): the slots it reads and the names of the columns live
+//! around it are the plan's, and a statement that did not resolve fails
+//! with its recorded error when execution reaches it.
 //!
 //! The working relation is a set of [`ColRef`] column views: a shared
 //! (`Arc`) [`ColumnData`] plus an optional selection vector mapping
@@ -22,7 +27,8 @@
 //!   column at a time through the shared `value_ops` rules; a
 //!   subexpression that reads one `Dict` or RLE column and no other is
 //!   decided once per dictionary entry or run, then spread to the rows.
-//! * the **row tier** (`eval_row`): whatever the kernel refuses, one row
+//! * the **row tier** (`eval_row`, the shared `value_ops::walk` with
+//!   names bound to the row's cells): whatever the kernel refuses, one row
 //!   at a time in exactly the legacy visit order, so a failing program
 //!   reports the legacy error for the legacy row. `iql.rows.generic`
 //!   counts the rows it evaluates.
@@ -41,16 +47,15 @@
     )
 )]
 
-use super::ast::{BinaryOp, Expr, UnaryOp};
+use super::ast::{BinaryOp, Expr, Stmt, UnaryOp};
 use super::eval::RunOutput;
-use super::plan::{Plan, PlanOp};
+use super::plan::{Bound, Plan};
 use super::value_ops::{
-    agg_call, arith_f64, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, num,
-    numeric_agg, op_kind, percentile, scalar_call, stays_int, unique_columns, Agg, ArithOp, CmpOp,
-    Env, OpKind,
+    agg_call, arith_f64, compare_values, eval_scalar_or_number, numeric_agg, op_kind, percentile,
+    stays_int, walk, Agg, ArithOp, CmpOp, Env, OpKind, Scope,
 };
 use super::IqlError;
-use extractor::{ColumnData, Table, TableSet, Value};
+use extractor::{ColumnData, Table, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,24 +101,25 @@ impl ColRef {
     }
 }
 
-/// The working relation: named column views of equal logical length.
-struct Relation {
-    name: String,
-    names: Vec<String>,
+/// The working relation: column views of equal logical length.
+struct Relation<'p> {
+    name: &'p str,
+    /// The plan's columns live after the statement that last ran, which
+    /// [`execute`] sets; column `i` of `cols` is named `names[i]`.
+    names: &'p [String],
     cols: Vec<ColRef>,
     len: usize,
 }
 
-impl Relation {
-    fn from_table(t: &Table) -> Self {
-        let (names, cols) = t
-            .named_columns()
-            .map(|(name, data)| (name.to_owned(), ColRef::dense(Arc::clone(data))))
-            .unzip();
+impl<'p> Relation<'p> {
+    fn from_table(t: &'p Table) -> Self {
         Relation {
-            name: t.name.clone(),
-            names,
-            cols,
+            name: &t.name,
+            names: &[],
+            cols: t
+                .named_columns()
+                .map(|(_, data)| ColRef::dense(Arc::clone(data)))
+                .collect(),
             len: t.len(),
         }
     }
@@ -149,7 +155,7 @@ impl Relation {
 
     fn materialize(&self) -> Table {
         Table::from_columns(
-            &self.name,
+            self.name,
             self.names
                 .iter()
                 .zip(&self.cols)
@@ -191,8 +197,8 @@ impl Rows<'_> {
     }
 }
 
-/// Execute a plan against the attached tables.
-pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlError> {
+/// Execute a resolved program.
+pub(crate) fn execute(plan: &Plan<'_>) -> Result<RunOutput, IqlError> {
     let mut rel: Option<Relation> = None;
     let mut env = Env::default();
     let mut out = RunOutput::default();
@@ -200,9 +206,15 @@ pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlEr
     let mut pruned = 0;
     let obs = ion_obs::enabled();
     let result = (|| {
-        for op in &plan.ops {
-            let _span = obs.then(|| ion_obs::span(format!("iql.op.{}", op.mnemonic())));
-            apply(op, tables, &mut rel, &mut env, &mut out, &mut pruned)?;
+        for step in &plan.steps {
+            let _span = obs.then(|| ion_obs::span(format!("iql.op.{}", step.stmt.mnemonic())));
+            // A statement that did not resolve fails once the statements
+            // before it have run, so their row errors come first.
+            let bound = step.bound.as_ref().map_err(IqlError::clone)?;
+            apply(step.stmt, bound, &mut rel, &mut env, &mut out, &mut pruned)?;
+            if let (Some(r), Some(names)) = (rel.as_mut(), &step.cols) {
+                r.names = names;
+            }
         }
         out.table = rel.as_ref().map(Relation::materialize);
         Ok(())
@@ -214,67 +226,58 @@ pub(crate) fn execute(plan: &Plan, tables: &TableSet) -> Result<RunOutput, IqlEr
 }
 
 #[allow(clippy::too_many_lines)]
-fn apply(
-    op: &PlanOp,
-    tables: &TableSet,
-    rel: &mut Option<Relation>,
+fn apply<'p>(
+    stmt: &Stmt,
+    bound: &Bound<'p>,
+    rel: &mut Option<Relation<'p>>,
     env: &mut Env,
     out: &mut RunOutput,
     pruned: &mut u64,
 ) -> Result<(), IqlError> {
-    match op {
-        PlanOp::Scan { table } => {
-            let t = tables.get(table).ok_or_else(|| IqlError::NoSuchTable {
-                table: table.clone(),
-            })?;
+    match (stmt, bound) {
+        (Stmt::Load(_), Bound::Table(t)) => {
             out.rows_scanned += t.len();
             *rel = Some(Relation::from_table(t));
         }
-        PlanOp::Filter { pred, .. } => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
+        (Stmt::Let(name, expr), _) => {
+            let v = walk(expr, env)?;
+            env.insert(name.clone(), v);
+        }
+        (Stmt::Emit(names), _) => {
+            for n in names {
+                out.emitted.push((n.clone(), env.name(n)?));
+            }
+        }
+        _ => {}
+    }
+    // Resolution fails every other statement until a `LOAD` has run.
+    let Some(r) = rel.as_mut() else {
+        return Ok(());
+    };
+    match (stmt, bound) {
+        (Stmt::Filter(pred), _) => {
             out.rows_scanned += r.len;
             let mask = evaluate(pred, r, Rows::All(r.len), env)?.mask();
             let kept: Vec<u32> = (0..r.len as u32).filter(|&i| mask[i as usize]).collect();
             *pruned += (r.len - kept.len()) as u64;
             r.select_rows(kept);
         }
-        PlanOp::Derive { name, expr } => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
+        (Stmt::Derive(_, expr), _) => {
             out.rows_scanned += r.len;
-            if r.names.contains(name) {
-                return Err(IqlError::DuplicateColumn {
-                    column: name.clone(),
-                });
-            }
             let data = evaluate(expr, r, Rows::All(r.len), env)?.column();
-            r.names.push(name.clone());
             r.cols.push(ColRef::dense(Arc::new(data)));
         }
-        PlanOp::Project { columns, .. } => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
-            let idxs: Vec<usize> = columns
-                .iter()
-                .map(|n| {
-                    r.col_idx(n)
-                        .ok_or_else(|| IqlError::NoSuchColumn { column: n.clone() })
-                })
-                .collect::<Result<_, _>>()?;
-            unique_columns(columns)?;
-            r.cols = idxs.iter().map(|&i| r.cols[i].clone()).collect();
-            r.names = columns.clone();
+        (Stmt::Select(_), Bound::Slots(slots)) => {
+            r.cols = slots.iter().map(|&i| r.cols[i].clone()).collect();
         }
-        PlanOp::Sort { column, descending } => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
-            let idx = r.col_idx(column).ok_or_else(|| IqlError::NoSuchColumn {
-                column: column.clone(),
-            })?;
+        (Stmt::Sort { descending, .. }, Bound::Slot(key)) => {
             let mut perm: Vec<u32> = (0..r.len as u32).collect();
             // The column's cells as the kernel reads them. Numbers
             // compare as `f64`, as legacy `compare_values` coerces them
             // (so `i64` keys above 2^53 can tie), strings by content; a
             // column with nulls or `Mixed` cells through `compare_values`.
-            let key = Kernel::resolve(&Expr::Ident(column.clone()), r, env);
-            match key.map(|k| k.eval(Domain::Rows(Rows::All(r.len)))) {
+            let col = &r.cols[*key];
+            match leaf(col).map(|k| k.eval(Domain::Rows(Rows::All(r.len)))) {
                 Some(Cells::Num(keys)) => perm.sort_by(|&a, &b| {
                     let (x, y) = (keys[a as usize].f64(), keys[b as usize].f64());
                     x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
@@ -283,7 +286,7 @@ fn apply(
                     perm.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
                 }
                 _ => {
-                    let keys: Vec<Value> = (0..r.len).map(|i| r.cols[idx].value(i)).collect();
+                    let keys: Vec<Value> = (0..r.len).map(|i| col.value(i)).collect();
                     perm.sort_by(|&a, &b| compare_values(&keys[a as usize], &keys[b as usize]));
                 }
             }
@@ -292,41 +295,19 @@ fn apply(
             }
             r.select_rows(perm);
         }
-        PlanOp::Limit(n) => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
-            if *n < r.len {
-                *pruned += (r.len - n) as u64;
-                // Truncation needs no gather: views read only the first
-                // `len` ordinals; materialize slices selection vectors.
-                r.len = *n;
-            }
+        (Stmt::Limit(n), _) if *n < r.len => {
+            *pruned += (r.len - n) as u64;
+            // Truncation needs no gather: views read only the first
+            // `len` ordinals; materialize slices selection vectors.
+            r.len = *n;
         }
-        PlanOp::Join {
-            table: right_name,
-            on,
-        } => {
-            let left = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
-            let right = Relation::from_table(tables.get(right_name).ok_or_else(|| {
-                IqlError::NoSuchTable {
-                    table: right_name.clone(),
-                }
-            })?);
-            out.rows_scanned += left.len + right.len;
-            let li = left
-                .col_idx(on)
-                .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
-            let ri = right
-                .col_idx(on)
-                .ok_or_else(|| IqlError::NoSuchColumn { column: on.clone() })?;
-            // Right-side columns that collide with left names are dropped
-            // (left wins), including the join column itself.
-            let kept_right: Vec<usize> = (0..right.names.len())
-                .filter(|&i| i != ri && !left.names.contains(&right.names[i]))
-                .collect();
+        (Stmt::Join { .. }, Bound::Join { right, keys, kept }) => {
+            let right = Relation::from_table(right);
+            out.rows_scanned += r.len + right.len;
             // Hash join on key classes shared by both key columns; right
             // rows stay in row order per key, as in legacy.
-            let rkey = &right.cols[ri];
-            let lkey = &left.cols[li];
+            let lkey = &r.cols[keys.0];
+            let rkey = &right.cols[keys.1];
             let mut space = KeyClasses::new(&[lkey, rkey]);
             let rclasses = space.classify(rkey, Rows::All(right.len));
             let mut index: Vec<Vec<u32>> = vec![Vec::new(); space.len()];
@@ -336,7 +317,7 @@ fn apply(
             let mut lkeep: Vec<u32> = Vec::new();
             let mut rkeep: Vec<u32> = Vec::new();
             for (i, class) in space
-                .classify(lkey, Rows::All(left.len))
+                .classify(lkey, Rows::All(r.len))
                 .into_iter()
                 .enumerate()
             {
@@ -347,32 +328,22 @@ fn apply(
                     }
                 }
             }
-            left.select_rows(lkeep);
+            r.select_rows(lkeep);
             let rsel = Arc::new(rkeep);
-            for &i in &kept_right {
-                left.names.push(right.names[i].clone());
-                left.cols.push(ColRef {
+            for &i in kept {
+                r.cols.push(ColRef {
                     data: Arc::clone(&right.cols[i].data),
                     sel: Some(Arc::clone(&rsel)),
                 });
             }
         }
-        PlanOp::Group { keys, aggs } => {
-            let r = rel.as_mut().ok_or(IqlError::NoTableLoaded)?;
+        (Stmt::Group { aggs, .. }, Bound::Slots(keys)) => {
             out.rows_scanned += r.len;
-            let key_idxs: Vec<usize> = keys
-                .iter()
-                .map(|k| {
-                    r.col_idx(k)
-                        .ok_or_else(|| IqlError::NoSuchColumn { column: k.clone() })
-                })
-                .collect::<Result<_, _>>()?;
-            unique_columns(keys.iter().chain(aggs.iter().map(|a| &a.name)))?;
             // Group ids: key classes combined column by column, numbered
             // in first-use order.
             let mut gids: Vec<u32> = vec![0; r.len];
             let mut ngroups = usize::from(r.len > 0);
-            for &k in &key_idxs {
+            for &k in keys {
                 let col = &r.cols[k];
                 let mut space = KeyClasses::new(&[col]);
                 let classes = space.classify(col, Rows::All(r.len));
@@ -387,8 +358,7 @@ fn apply(
             let rendered: Vec<Vec<String>> = groups
                 .iter()
                 .map(|ordinals| {
-                    key_idxs
-                        .iter()
+                    keys.iter()
                         .map(|&k| r.cols[k].value(ordinals[0] as usize).to_string())
                         .collect()
                 })
@@ -400,7 +370,7 @@ fn apply(
                 .collect();
             for ordinals in order.iter().map(|&g| &groups[g]) {
                 let first = ordinals[0] as usize;
-                for (c, &k) in key_idxs.iter().enumerate() {
+                for (c, &k) in keys.iter().enumerate() {
                     out_cols[c].push(r.cols[k].value(first));
                 }
                 for (a, agg) in aggs.iter().enumerate() {
@@ -408,43 +378,23 @@ fn apply(
                     out_cols[keys.len() + a].push(v);
                 }
             }
-            let names: Vec<String> = keys
-                .iter()
-                .cloned()
-                .chain(aggs.iter().map(|a| a.name.clone()))
+            r.cols = out_cols
+                .into_iter()
+                .map(|c| ColRef::dense(Arc::new(c)))
                 .collect();
-            *r = Relation {
-                name: r.name.clone(),
-                names,
-                cols: out_cols
-                    .into_iter()
-                    .map(|c| ColRef::dense(Arc::new(c)))
-                    .collect(),
-                len: ngroups,
-            };
+            r.len = ngroups;
         }
-        PlanOp::Agg(aggs) => {
-            let r = rel.as_ref().ok_or(IqlError::NoTableLoaded)?;
+        (Stmt::Agg(aggs), _) => {
             out.rows_scanned += r.len;
             for a in aggs {
                 let v = eval_agg(&a.expr, r, Rows::All(r.len), env)?;
-                env.scalars.insert(a.name.clone(), v);
+                env.insert(a.name.clone(), v);
             }
         }
-        PlanOp::Let { name, expr } => {
-            let v = eval_scalar_expr(expr, env)?;
-            env.scalars.insert(name.clone(), v);
-        }
-        PlanOp::Emit(names) => {
-            for n in names {
-                let v = env
-                    .scalars
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| IqlError::NoSuchVariable { name: n.clone() })?;
-                out.emitted.push((n.clone(), v));
-            }
-        }
+        // `LOAD`, `LET` and `EMIT` ran above, a `LIMIT` at or above the
+        // row count keeps every row, and resolution binds `SELECT`,
+        // `SORT`, `JOIN` and `GROUP` only as matched here.
+        _ => {}
     }
     Ok(())
 }
@@ -453,42 +403,30 @@ fn apply(
 // Row tier (legacy visit order, exact error parity)
 // ---------------------------------------------------------------------------
 
-fn eval_row(expr: &Expr, rel: &Relation, i: usize, env: &Env) -> Result<Value, IqlError> {
-    match expr {
-        Expr::Int(n) => Ok(Value::Int(*n)),
-        Expr::Float(n) => Ok(Value::Float(*n)),
-        Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
-        Expr::Ident(name) => {
-            if let Some(c) = rel.col_idx(name) {
-                Ok(rel.cols[c].value(i))
-            } else if let Some(v) = env.scalars.get(name) {
-                Ok(v.clone())
-            } else {
-                Err(IqlError::NoSuchColumn {
-                    column: name.clone(),
-                })
-            }
-        }
-        Expr::Unary(op, inner) => {
-            let v = eval_row(inner, rel, i, env)?;
-            match op {
-                UnaryOp::Neg => Ok(Value::Float(-num(&v, "negation operand")?)),
-                UnaryOp::Not => Ok(Value::Int(i64::from(!v.truthy()))),
-            }
-        }
-        Expr::Binary(l, op, r) => {
-            let lv = eval_row(l, rel, i, env)?;
-            let rv = eval_row(r, rel, i, env)?;
-            binary(*op, lv, rv)
-        }
-        Expr::Call(name, args) => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_row(a, rel, i, env))
-                .collect::<Result<_, _>>()?;
-            scalar_call(name, &vals)
+/// Row context: a name reads the row's cell, else a scalar.
+struct RowScope<'r> {
+    rel: &'r Relation<'r>,
+    i: usize,
+    env: &'r Env,
+}
+
+impl Scope for RowScope<'_> {
+    fn name(&self, name: &str) -> Result<Value, IqlError> {
+        match self.rel.col_idx(name) {
+            Some(c) => Ok(self.rel.cols[c].value(self.i)),
+            None => self
+                .env
+                .get(name)
+                .cloned()
+                .ok_or_else(|| IqlError::NoSuchColumn {
+                    column: name.to_owned(),
+                }),
         }
     }
+}
+
+fn eval_row(expr: &Expr, rel: &Relation, i: usize, env: &Env) -> Result<Value, IqlError> {
+    walk(expr, &RowScope { rel, i, env })
 }
 
 /// The cells of `expr` over `rows`: through the kernel when the
@@ -503,77 +441,69 @@ fn evaluate(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Ce
     values.map(Cells::Values)
 }
 
-/// Aggregate-context evaluation (mirrors the legacy `eval_agg_expr`).
-fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Value, IqlError> {
-    match expr {
-        Expr::Int(n) => Ok(Value::Int(*n)),
-        Expr::Float(n) => Ok(Value::Float(*n)),
-        Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
-        Expr::Ident(name) => {
-            // In aggregate context a bare identifier means "this scalar",
-            // or the column value of the first row (useful after GROUP for
-            // key columns).
-            if let Some(v) = env.scalars.get(name) {
-                return Ok(v.clone());
-            }
-            if let Some(c) = rel.col_idx(name) {
-                return Ok(rows.first().map_or(Value::Null, |i| rel.cols[c].value(i)));
-            }
-            Err(IqlError::NoSuchVariable { name: name.clone() })
+/// Aggregate context (mirrors the legacy `eval_agg_expr`): a name reads
+/// a scalar, else its column's cell on the first of `rows` (useful after
+/// GROUP for key columns), and an aggregate call reduces `rows`.
+struct AggScope<'r> {
+    rel: &'r Relation<'r>,
+    rows: Rows<'r>,
+    env: &'r Env,
+}
+
+impl Scope for AggScope<'_> {
+    fn name(&self, name: &str) -> Result<Value, IqlError> {
+        if let Some(v) = self.env.get(name) {
+            return Ok(v.clone());
         }
-        Expr::Unary(op, inner) => {
-            let v = eval_agg(inner, rel, rows, env)?;
-            match op {
-                UnaryOp::Neg => Ok(Value::Float(-num(&v, "negation operand")?)),
-                UnaryOp::Not => Ok(Value::Int(i64::from(!v.truthy()))),
-            }
-        }
-        Expr::Binary(l, op, r) => {
-            let lv = eval_agg(l, rel, rows, env)?;
-            let rv = eval_agg(r, rel, rows, env)?;
-            binary(*op, lv, rv)
-        }
-        Expr::Call(name, args) => {
-            let Some(agg) = agg_call(name, args.len()) else {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| eval_agg(a, rel, rows, env))
-                    .collect::<Result<_, _>>()?;
-                return scalar_call(name, &vals);
-            };
-            match agg {
-                Agg::Count => Ok(Value::Int(rows.len() as i64)),
-                Agg::Distinct => {
-                    // A bare column is classified where it lies; any other
-                    // expression is evaluated into a column first.
-                    let column = match &args[0] {
-                        Expr::Ident(name) => rel.col_idx(name),
-                        _ => None,
-                    };
-                    let (col, rows) = match column {
-                        Some(c) => (rel.cols[c].clone(), rows),
-                        None => {
-                            let data = evaluate(&args[0], rel, rows, env)?.column();
-                            let n = data.len();
-                            (ColRef::dense(Arc::new(data)), Rows::All(n))
-                        }
-                    };
-                    let mut space = KeyClasses::new(&[&col]);
-                    space.classify(&col, rows);
-                    Ok(Value::Int(space.len() as i64))
-                }
-                Agg::Pct => {
-                    let p = eval_scalar_or_number(&args[1], env)?;
-                    let vals = collect_numeric(&args[0], rel, rows, env)?;
-                    Ok(Value::Float(percentile(vals, p)))
-                }
-                Agg::Numeric(f) => {
-                    let vals = collect_numeric(&args[0], rel, rows, env)?;
-                    Ok(Value::Float(numeric_agg(f, &vals)))
-                }
-            }
+        match self.rel.col_idx(name) {
+            Some(c) => Ok(self
+                .rows
+                .first()
+                .map_or(Value::Null, |i| self.rel.cols[c].value(i))),
+            None => Err(IqlError::NoSuchVariable {
+                name: name.to_owned(),
+            }),
         }
     }
+
+    fn aggregate(&self, name: &str, args: &[Expr]) -> Option<Result<Value, IqlError>> {
+        let agg = agg_call(name, args.len())?;
+        let AggScope { rel, rows, env } = *self;
+        Some(match agg {
+            Agg::Count => Ok(Value::Int(rows.len() as i64)),
+            Agg::Distinct => distinct(&args[0], rel, rows, env),
+            Agg::Pct => eval_scalar_or_number(&args[1], env).and_then(|p| {
+                let vals = collect_numeric(&args[0], rel, rows, env)?;
+                Ok(Value::Float(percentile(vals, p)))
+            }),
+            Agg::Numeric(f) => collect_numeric(&args[0], rel, rows, env)
+                .map(|vals| Value::Float(numeric_agg(f, &vals))),
+        })
+    }
+}
+
+fn eval_agg(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Value, IqlError> {
+    walk(expr, &AggScope { rel, rows, env })
+}
+
+/// `distinct(expr)` over `rows`: a bare column is classified where it
+/// lies; any other expression is evaluated into a column first.
+fn distinct(expr: &Expr, rel: &Relation, rows: Rows<'_>, env: &Env) -> Result<Value, IqlError> {
+    let column = match expr {
+        Expr::Ident(name) => rel.col_idx(name),
+        _ => None,
+    };
+    let (col, rows) = match column {
+        Some(c) => (rel.cols[c].clone(), rows),
+        None => {
+            let data = evaluate(expr, rel, rows, env)?.column();
+            let n = data.len();
+            (ColRef::dense(Arc::new(data)), Rows::All(n))
+        }
+    };
+    let mut space = KeyClasses::new(&[&col]);
+    space.classify(&col, rows);
+    Ok(Value::Int(space.len() as i64))
 }
 
 /// Collect the numeric population of `expr` over `rows` (non-numeric
@@ -858,7 +788,9 @@ enum NumExpr<'a> {
     Int(Leaf<'a, i64>),
     Float(Leaf<'a, f64>),
     Arith(ArithOp, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
-    /// A function of one number, such as `floor` or negation.
+    /// Negation, by `value_ops::unary`'s rule.
+    Neg(Box<NumExpr<'a>>),
+    /// A function of one number, such as `floor`.
     Math(fn(f64) -> f64, Box<NumExpr<'a>>),
     Math2(fn(f64, f64) -> f64, Box<NumExpr<'a>>, Box<NumExpr<'a>>),
     /// A predicate read as `Int` 0/1.
@@ -901,7 +833,7 @@ impl<'a> Kernel<'a> {
     /// `expr` resolved against the live relation and scalars, or `None`
     /// when some row could error or `expr` reads a column with nulls or
     /// `Mixed` cells.
-    fn resolve(expr: &Expr, rel: &'a Relation, env: &Env) -> Option<Self> {
+    fn resolve(expr: &Expr, rel: &'a Relation<'a>, env: &Env) -> Option<Self> {
         let mut resolver = Resolver {
             rel,
             env,
@@ -1022,6 +954,10 @@ impl NumExpr<'_> {
                     _ => Num::Float(v),
                 }
             }),
+            NumExpr::Neg(x) => map(x.eval(at), |v| match v {
+                Num::Int(i) if stays_int(i as f64) => Num::Int(-i),
+                _ => Num::Float(-v.f64()),
+            }),
             NumExpr::Math(f, x) => map(x.eval(at), |v| Num::Float(f(v.f64()))),
             NumExpr::Math2(f, a, b) => pair(a, b, at, |x, y| Num::Float(f(x.f64(), y.f64()))),
             NumExpr::Bool(m) => map(m.eval(at), |b| Num::Int(b.into())),
@@ -1068,9 +1004,19 @@ impl StrExpr<'_> {
     }
 }
 
+/// The kernel reading `col`'s cells, when it has neither nulls nor
+/// `Mixed` cells.
+fn leaf(col: &ColRef) -> Option<Kernel<'_>> {
+    Some(match entries(&col.data)? {
+        Entries::Int(values) => Kernel::Num(NumExpr::Int(Leaf(col, values))),
+        Entries::Float(values) => Kernel::Num(NumExpr::Float(Leaf(col, values))),
+        Entries::Str(values) => Kernel::Str(StrExpr::Col(Leaf(col, values))),
+    })
+}
+
 /// Binds an expression's names against the live relation and scalars.
 struct Resolver<'a, 'e> {
-    rel: &'a Relation,
+    rel: &'a Relation<'a>,
     env: &'e Env,
     /// Slots of the columns bound so far.
     slots: Vec<usize>,
@@ -1110,7 +1056,7 @@ impl<'a> Resolver<'a, '_> {
             // Literals read no column, so the fold above took them.
             Expr::Int(_) | Expr::Float(_) | Expr::Str(_) => None,
             Expr::Ident(name) => self.column(name),
-            Expr::Unary(UnaryOp::Neg, x) => Some(Kernel::Num(NumExpr::Math(|v| -v, self.num(x)?))),
+            Expr::Unary(UnaryOp::Neg, x) => Some(Kernel::Num(NumExpr::Neg(self.num(x)?))),
             Expr::Unary(UnaryOp::Not, x) => Some(Kernel::Bool(BoolExpr::Not(self.mask(x)?))),
             Expr::Binary(l, op, r) => self.binary(*op, l, r),
             Expr::Call(name, args) => self.call(name, args),
@@ -1129,12 +1075,7 @@ impl<'a> Resolver<'a, '_> {
 
     fn column(&mut self, name: &str) -> Option<Kernel<'a>> {
         let slot = self.rel.col_idx(name)?;
-        let col = &self.rel.cols[slot];
-        let node = match entries(&col.data)? {
-            Entries::Int(values) => Kernel::Num(NumExpr::Int(Leaf(col, values))),
-            Entries::Float(values) => Kernel::Num(NumExpr::Float(Leaf(col, values))),
-            Entries::Str(values) => Kernel::Str(StrExpr::Col(Leaf(col, values))),
-        };
+        let node = leaf(&self.rel.cols[slot])?;
         self.slots.push(slot);
         Some(node)
     }

@@ -5,11 +5,11 @@
 //! must never be extended with new semantics: the planned engine in
 //! [`super::exec`] is checked against this implementation bit-for-bit.
 
-use super::ast::{Expr, Program, Stmt, UnaryOp};
+use super::ast::{Expr, Program, Stmt};
 use super::eval::RunOutput;
 use super::value_ops::{
-    agg_call, binary, compare_values, eval_scalar_expr, eval_scalar_or_number, num, numeric_agg,
-    percentile, scalar_call, unique_columns, Agg, Env,
+    agg_call, binary, compare_values, eval_scalar_or_number, numeric_agg, percentile, scalar_call,
+    unary, unique_columns, walk, Agg, Env,
 };
 use super::IqlError;
 use extractor::{Table, TableSet, Value};
@@ -235,17 +235,16 @@ impl<'a> LegacyInterpreter<'a> {
                     let rows: Vec<&Vec<Value>> = t.rows.iter().collect();
                     for a in aggs {
                         let v = eval_agg_expr(&a.expr, &t.cols, &rows, &env)?;
-                        env.scalars.insert(a.name.clone(), v);
+                        env.insert(a.name.clone(), v);
                     }
                 }
                 Stmt::Let(name, expr) => {
-                    let v = eval_scalar_expr(expr, &env)?;
-                    env.scalars.insert(name.clone(), v);
+                    let v = walk(expr, &env)?;
+                    env.insert(name.clone(), v);
                 }
                 Stmt::Emit(names) => {
                     for n in names {
                         let v = env
-                            .scalars
                             .get(n)
                             .cloned()
                             .ok_or_else(|| IqlError::NoSuchVariable { name: n.clone() })?;
@@ -272,7 +271,7 @@ fn eval_row_expr(
         Expr::Ident(name) => {
             if let Some(i) = cols.iter().position(|c| c == name) {
                 Ok(row[i].clone())
-            } else if let Some(v) = env.scalars.get(name) {
+            } else if let Some(v) = env.get(name) {
                 Ok(v.clone())
             } else {
                 Err(IqlError::NoSuchColumn {
@@ -280,13 +279,7 @@ fn eval_row_expr(
                 })
             }
         }
-        Expr::Unary(op, inner) => {
-            let v = eval_row_expr(inner, cols, row, env)?;
-            match op {
-                UnaryOp::Neg => Ok(Value::Float(-num(&v, "negation operand")?)),
-                UnaryOp::Not => Ok(Value::Int(i64::from(!v.truthy()))),
-            }
-        }
+        Expr::Unary(op, inner) => unary(*op, &eval_row_expr(inner, cols, row, env)?),
         Expr::Binary(l, op, r) => {
             let lv = eval_row_expr(l, cols, row, env)?;
             let rv = eval_row_expr(r, cols, row, env)?;
@@ -321,7 +314,7 @@ fn eval_agg_expr(
             // In aggregate context a bare identifier means "this scalar",
             // or the column value of the first row (useful after GROUP for
             // key columns).
-            if let Some(v) = env.scalars.get(name) {
+            if let Some(v) = env.get(name) {
                 return Ok(v.clone());
             }
             if let Some(i) = cols.iter().position(|c| c == name) {
@@ -329,13 +322,7 @@ fn eval_agg_expr(
             }
             Err(IqlError::NoSuchVariable { name: name.clone() })
         }
-        Expr::Unary(op, inner) => {
-            let v = eval_agg_expr(inner, cols, rows, env)?;
-            match op {
-                UnaryOp::Neg => Ok(Value::Float(-num(&v, "negation operand")?)),
-                UnaryOp::Not => Ok(Value::Int(i64::from(!v.truthy()))),
-            }
-        }
+        Expr::Unary(op, inner) => unary(*op, &eval_agg_expr(inner, cols, rows, env)?),
         Expr::Binary(l, op, r) => {
             let lv = eval_agg_expr(l, cols, rows, env)?;
             let rv = eval_agg_expr(r, cols, rows, env)?;

@@ -29,15 +29,17 @@
 //! `contains(haystack, needle)`.
 //!
 //! A program may start with `EXPLAIN`, which asks the engine to render
-//! its execution plan — one operator per statement, with the columns live
-//! after each — instead of running the pipeline.
+//! its execution plan — each statement with the columns live after it —
+//! instead of running the pipeline.
 //!
-//! Execution is planned and vectorized: a program lowers 1:1 to a logical
-//! [`Plan`] (`plan` module) and a columnar executor runs its statements
-//! in the order they were written, each expression through one typed
-//! kernel or, where that could error or meets nulls, row at a time. The
-//! original tree-walking interpreter survives behind the `legacy-eval`
-//! feature purely as the oracle for differential tests.
+//! Execution is resolved and vectorized: a program's statements are
+//! resolved once against the attached tables into a [`Plan`] (`plan`
+//! module) that records, per statement, the columns live after it and
+//! the slots it reads, or the error it raises. A columnar executor runs
+//! the statements in the order they were written, each expression through
+//! one typed kernel or, where that could error or meets nulls, row at a
+//! time. The original tree-walking interpreter survives behind the
+//! `legacy-eval` feature purely as the oracle for differential tests.
 
 mod ast;
 mod eval;
@@ -53,7 +55,7 @@ pub use ast::{AggCall, BinaryOp, Expr, Program, Stmt, UnaryOp};
 pub use eval::{Interpreter, RunOutput};
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_expression, parse_program};
-pub use plan::{lower, Plan, PlanOp};
+pub use plan::Plan;
 pub use value_ops::eval_with_scalars;
 
 use std::fmt;

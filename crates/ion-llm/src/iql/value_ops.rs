@@ -3,8 +3,9 @@
 //!
 //! Everything observable about IQL arithmetic lives here: comparison
 //! ordering, binary-operator coercions (including the `Int`-preserving
-//! rule and division-by-zero → 0), scalar function calls, and scalar
-//! expression evaluation. Both engines call these functions so they
+//! rule and division-by-zero → 0), negation, scalar function calls, and
+//! the expression walk ([`walk`]) the executor's row, aggregate and
+//! scalar contexts share. Both engines call these functions so they
 //! cannot drift apart on value semantics; the differential test in
 //! `tests/differential.rs` checks the rest.
 #![cfg_attr(
@@ -149,10 +150,7 @@ impl CmpOp {
 }
 
 /// Scalar environment: variables bound by `LET` and `AGG`.
-#[derive(Debug, Default)]
-pub(crate) struct Env {
-    pub(crate) scalars: BTreeMap<String, Value>,
-}
+pub(crate) type Env = BTreeMap<String, Value>;
 
 /// Total order used by `SORT` and the comparison operators: numeric when
 /// both sides coerce to `f64`, else lexicographic on the rendered text.
@@ -199,7 +197,8 @@ pub(crate) fn binary(op: BinaryOp, l: Value, r: Value) -> Result<Value, IqlError
 }
 
 /// Whether `Int op Int` with result `v` stays `Int`: `v` is integral and
-/// below 9e15 in magnitude, so `v as i64` is exact.
+/// below 9e15 in magnitude, so `v as i64` is exact. Negating an `Int` `i`
+/// stays `Int` by the same bound on `i`.
 pub(crate) fn stays_int(v: f64) -> bool {
     v.fract() == 0.0 && v.abs() < 9e15
 }
@@ -268,40 +267,69 @@ pub(crate) fn scalar_call(name: &str, args: &[Value]) -> Result<Value, IqlError>
     }
 }
 
-pub(crate) fn eval_scalar_expr(expr: &Expr, env: &Env) -> Result<Value, IqlError> {
+/// How an expression walk binds what it reads: the row, aggregate or
+/// scalar context the expression is evaluated in.
+pub(crate) trait Scope {
+    /// The value `name` reads here, or the error an unbound name raises.
+    fn name(&self, name: &str) -> Result<Value, IqlError>;
+
+    /// The value of `name(args)` when this context reduces it as an
+    /// aggregate, or `None` for a scalar call.
+    fn aggregate(&self, _name: &str, _args: &[Expr]) -> Option<Result<Value, IqlError>> {
+        None
+    }
+}
+
+/// The scalar context: a name is a scalar variable.
+impl Scope for Env {
+    fn name(&self, name: &str) -> Result<Value, IqlError> {
+        self.get(name)
+            .cloned()
+            .ok_or_else(|| IqlError::NoSuchVariable {
+                name: name.to_owned(),
+            })
+    }
+}
+
+/// Evaluate `expr` in `scope`, operands and arguments left to right.
+pub(crate) fn walk(expr: &Expr, scope: &impl Scope) -> Result<Value, IqlError> {
     match expr {
         Expr::Int(n) => Ok(Value::Int(*n)),
         Expr::Float(n) => Ok(Value::Float(*n)),
         Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
-        Expr::Ident(name) => env
-            .scalars
-            .get(name)
-            .cloned()
-            .ok_or_else(|| IqlError::NoSuchVariable { name: name.clone() }),
-        Expr::Unary(op, inner) => {
-            let v = eval_scalar_expr(inner, env)?;
-            match op {
-                UnaryOp::Neg => Ok(Value::Float(-num(&v, "negation operand")?)),
-                UnaryOp::Not => Ok(Value::Int(i64::from(!v.truthy()))),
-            }
-        }
+        Expr::Ident(name) => scope.name(name),
+        Expr::Unary(op, inner) => unary(*op, &walk(inner, scope)?),
         Expr::Binary(l, op, r) => {
-            let lv = eval_scalar_expr(l, env)?;
-            let rv = eval_scalar_expr(r, env)?;
+            let lv = walk(l, scope)?;
+            let rv = walk(r, scope)?;
             binary(*op, lv, rv)
         }
         Expr::Call(name, args) => {
+            if let Some(v) = scope.aggregate(name, args) {
+                return v;
+            }
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_scalar_expr(a, env))
+                .map(|a| walk(a, scope))
                 .collect::<Result<_, _>>()?;
             scalar_call(name, &vals)
         }
     }
 }
 
+/// `op` applied to one value: `!` gives `Int` 0/1, and negation keeps an
+/// `Int` exact while it is within the [`stays_int`] bound, else gives a
+/// `Float`.
+pub(crate) fn unary(op: UnaryOp, v: &Value) -> Result<Value, IqlError> {
+    Ok(match (op, v) {
+        (UnaryOp::Not, _) => Value::Int(i64::from(!v.truthy())),
+        (UnaryOp::Neg, Value::Int(i)) if stays_int(*i as f64) => Value::Int(-i),
+        (UnaryOp::Neg, _) => Value::Float(-num(v, "negation operand")?),
+    })
+}
+
 pub(crate) fn eval_scalar_or_number(expr: &Expr, env: &Env) -> Result<f64, IqlError> {
-    num(&eval_scalar_expr(expr, env)?, "percentile rank")
+    num(&walk(expr, env)?, "percentile rank")
 }
 
 /// Evaluate a standalone expression against a scalar environment (used by
@@ -314,10 +342,7 @@ pub fn eval_with_scalars(
     expr: &Expr,
     scalars: &BTreeMap<String, Value>,
 ) -> Result<Value, IqlError> {
-    let env = Env {
-        scalars: scalars.clone(),
-    };
-    eval_scalar_expr(expr, &env)
+    walk(expr, scalars)
 }
 
 /// Nearest-rank percentile over an already-collected numeric population;
